@@ -26,7 +26,7 @@ __all__ = [
     "estimate_gradients", "estimate_covariance", "decompose",
     "choose_active_dimension", "project", "reassemble",
     "fit_response_surface", "evaluate_surface", "replicated_errors",
-    "analyze_table", "surface_to_doc", "surface_from_doc",
+    "analyze_table", "plot_data", "surface_to_doc", "surface_from_doc",
     "load_sample_table", "save_sample_table",
 ]
 
@@ -206,7 +206,7 @@ def decompose(source, n_boot: int = 100, seed: int = 0) -> ASDecomposition:
     """
     if isinstance(source, SampleTable):
         g = source.normalized_gradients()
-        cov = g.T @ g / len(g)
+        cov = estimate_covariance(source)
     else:
         cov = np.asarray(source, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -334,6 +334,32 @@ def _split_indices(n: int, train_fraction: float, seed: int):
     return perm[:n_train], perm[n_train:]
 
 
+def _fit_surface(actives: np.ndarray, outputs: np.ndarray, degree: int):
+    """Least-squares fit on actives scaled by their own range; (surface, condition)."""
+    lo, hi = actives.min(axis=0), actives.max(axis=0)
+    center = 0.5 * (lo + hi)
+    halfwidth = 0.5 * (hi - lo)
+    halfwidth = np.where(halfwidth > 0.0, halfwidth, 1.0)
+    exponents = _monomial_exponents(actives.shape[1], degree)
+    a = _monomial_matrix((actives - center) / halfwidth, exponents)
+    coef, _, _, sv = np.linalg.lstsq(a, outputs, rcond=None)
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
+    return ResponseSurface(degree=degree, active_dim=actives.shape[1], coefficients=coef,
+                           center=center, halfwidth=halfwidth, exponents=exponents), condition
+
+
+def _rmse(surface: ResponseSurface, actives: np.ndarray, outputs: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((evaluate_surface(surface, actives) - outputs) ** 2)))
+
+
+def _normalized_error(rmse: float, outputs: np.ndarray) -> float:
+    """RMSE over the output range; a constant output scores 0 if fitted exactly."""
+    out_range = float(outputs.max() - outputs.min())
+    if out_range > 0.0:
+        return rmse / out_range
+    return 0.0 if rmse <= 1e-12 * max(1.0, np.abs(outputs).max()) else np.inf
+
+
 def fit_response_surface(decomp: ASDecomposition, table: SampleTable,
                          degree: int = 4, split_seed: int = 0,
                          train_fraction: float = 0.75):
@@ -357,41 +383,20 @@ def fit_response_surface(decomp: ASDecomposition, table: SampleTable,
             f"{m_active} active variables, got {table.n}"
         )
     actives = table.normalized_inputs() @ w1
+    f = table.outputs
     train, test = _split_indices(table.n, train_fraction, split_seed)
-
-    y_train = actives[train]
-    center = 0.5 * (y_train.min(axis=0) + y_train.max(axis=0))
-    halfwidth = 0.5 * (y_train.max(axis=0) - y_train.min(axis=0))
-    halfwidth = np.where(halfwidth > 0.0, halfwidth, 1.0)
-
-    exponents = _monomial_exponents(m_active, degree)
-    a = _monomial_matrix((y_train - center) / halfwidth, exponents)
-    coef, _, _, sv = np.linalg.lstsq(a, table.outputs[train], rcond=None)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
+    surface, condition = _fit_surface(actives[train], f[train], degree)
     if condition > 1e10:
         warnings.warn(f"ill-conditioned surface fit (condition ~ {condition:.2e})",
                       stacklevel=2)
-
-    surface = ResponseSurface(degree=degree, active_dim=m_active,
-                              coefficients=coef, center=center,
-                              halfwidth=halfwidth, exponents=exponents)
-    pred_train = evaluate_surface(surface, actives[train])
-    pred_test = evaluate_surface(surface, actives[test])
-    rmse_train = float(np.sqrt(np.mean((pred_train - table.outputs[train]) ** 2)))
-    rmse_test = float(np.sqrt(np.mean((pred_test - table.outputs[test]) ** 2)))
-    out_range = float(table.outputs.max() - table.outputs.min())
-    if out_range > 0.0:
-        normalized = rmse_test / out_range
-    else:
-        normalized = 0.0 if rmse_test <= 1e-12 * max(1.0, np.abs(table.outputs).max()) \
-            else np.inf
+    rmse_test = _rmse(surface, actives[test], f[test])
     report = {
         "n_train": int(len(train)),
         "n_test": int(len(test)),
-        "rmse_train": rmse_train,
+        "rmse_train": _rmse(surface, actives[train], f[train]),
         "rmse_test": rmse_test,
-        "output_range": out_range,
-        "normalized_test_error": float(normalized),
+        "output_range": float(f.max() - f.min()),
+        "normalized_test_error": _normalized_error(rmse_test, f),
         "condition": condition,
         "degree": degree,
         "active_dim": m_active,
@@ -410,28 +415,20 @@ def replicated_errors(table: SampleTable, degree: int = 4, active_rule: str = "l
     """
     if table.gradients is None:
         raise DomainError("replicated_errors needs a table with gradients")
+    x, f = table.normalized_inputs(), table.outputs
     errors = []
     for rep in range(n_replicates):
         split_seed_entropy = np.random.SeedSequence([seed, rep]).generate_state(1)[0]
         train, test = _split_indices(table.n, train_fraction, int(split_seed_entropy))
-        sub = SampleTable(table.inputs[train], table.outputs[train],
-                          table.gradients[train], table.bounds)
+        sub = SampleTable(table.inputs[train], f[train], table.gradients[train], table.bounds)
         decomp = decompose(sub, n_boot=0)
         decomp.active_dim = choose_active_dimension(decomp, active_rule,
                                                     explicit=explicit_dim)
         w1 = decomp.active_basis()
-        exponents = _monomial_exponents(w1.shape[1], degree)
-        y_train = table.normalized_inputs()[train] @ w1
-        y_test = table.normalized_inputs()[test] @ w1
-        center = 0.5 * (y_train.min(axis=0) + y_train.max(axis=0))
-        half = 0.5 * (y_train.max(axis=0) - y_train.min(axis=0))
-        half = np.where(half > 0.0, half, 1.0)
-        a = _monomial_matrix((y_train - center) / half, exponents)
-        coef = np.linalg.lstsq(a, table.outputs[train], rcond=None)[0]
-        pred = _monomial_matrix((y_test - center) / half, exponents) @ coef
-        rmse = np.sqrt(np.mean((pred - table.outputs[test]) ** 2))
-        out_range = table.outputs.max() - table.outputs.min()
-        errors.append(float(rmse / out_range) if out_range > 0.0 else 0.0)
+        # project each row subset on its own: BLAS rounding depends on row
+        # position, and this keeps earlier replicate errors bit-identical
+        surface, _ = _fit_surface(x[train] @ w1, f[train], degree)
+        errors.append(_normalized_error(_rmse(surface, x[test] @ w1, f[test]), f))
     return errors
 
 
@@ -501,6 +498,26 @@ def analyze_table(table: SampleTable, degree: int = 4, n_boot: int = 100,
         report["replicate_errors"] = errors
         report["mean_normalized_error"] = float(np.mean(errors))
     return report, decomp, surface
+
+
+def plot_data(table: SampleTable, decomp: ASDecomposition) -> dict:
+    """Rows of the eigenvalue, bootstrap and sufficient-summary plot CSVs.
+
+    Returns {file name: (header, rows)}.  Bootstrap rows need intervals and
+    two-variable summary rows need at least two parameters.
+    """
+    lam, w = decomp.eigenvalues, decomp.eigenvectors
+    x, f = table.normalized_inputs(), table.outputs
+    a1 = x @ w[:, 0]
+    boot = [] if decomp.bootstrap_lo is None else list(
+        zip(range(len(lam)), decomp.bootstrap_lo, decomp.bootstrap_hi))
+    return {
+        "eigenvalues.csv": (["index", "eigenvalue"], list(enumerate(lam))),
+        "bootstrap.csv": (["index", "lo", "hi"], boot),
+        "summary_1d.csv": (["active_1", "f"], list(zip(a1, f))),
+        "summary_2d.csv": (["active_1", "active_2", "f"],
+                           list(zip(a1, x @ w[:, 1], f)) if table.m >= 2 else []),
+    }
 
 
 # --- CSV persistence -----------------------------------------------------

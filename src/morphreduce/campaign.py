@@ -326,6 +326,9 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     Per-sample failures are recorded and isolated; config-level problems
     (bad mesh, bad lattice) abort before any evaluation.
     """
+    n_workers = threads if threads else (os.cpu_count() or 1)
+    if n_workers < 1:
+        raise ConfigError(f"thread count must be positive, got {n_workers}")
     lattice, binding = load_ffd_json(config.ffd_path)
     if binding is None:
         raise ConfigError(f"{config.ffd_path}: campaign needs a parameter binding")
@@ -345,12 +348,8 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
                 logger.warning("sample %d: unreadable record, recomputing", i)
         return _run_sample(i, mus[i], lattice, binding, base_mesh, config, run_dir)
 
-    n_workers = threads if threads else (os.cpu_count() or 1)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(work, range(config.n_samples)))
-    else:
-        records = [work(i) for i in range(config.n_samples)]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        records = list(pool.map(work, range(config.n_samples)))
 
     manifest = {
         "config": config.to_doc(),
@@ -404,8 +403,7 @@ def analyze_campaign(records, bounds, settings: AnalysisSettings,
     inputs = np.array([r.mu for r in ok])
 
     report = {"n_ok": len(ok), "n_failed": len(records) - len(ok), "outputs": {}}
-    eig_rows, boot_rows, s1_rows, s2_rows = [], [], [], []
-    surfaces = {}
+    plots, surfaces = {}, {}
     for name in outputs:
         try:
             values = np.array([r.scalars[name] for r in ok])
@@ -421,29 +419,15 @@ def analyze_campaign(records, bounds, settings: AnalysisSettings,
         if surface is not None:
             surfaces[name] = asub.surface_to_doc(surface)
         report["outputs"][name] = entry
-
-        normalized = table.normalized_inputs()
-        active1 = normalized @ decomp.eigenvectors[:, 0]
-        eig_rows += [(name, i, float(v)) for i, v in enumerate(decomp.eigenvalues)]
-        if decomp.bootstrap_lo is not None:
-            boot_rows += [(name, i, float(lo), float(hi)) for i, (lo, hi) in
-                          enumerate(zip(decomp.bootstrap_lo, decomp.bootstrap_hi))]
-        s1_rows += [(name, float(a), float(v)) for a, v in zip(active1, values)]
-        if m >= 2:
-            active2 = normalized @ decomp.eigenvectors[:, 1]
-            s2_rows += [(name, float(a1), float(a2), float(v))
-                        for a1, a2, v in zip(active1, active2, values)]
+        for file_name, (header, rows) in asub.plot_data(table, decomp).items():
+            plots.setdefault(file_name, (["output"] + header, []))[1].extend(
+                (name,) + row for row in rows)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "eigenvalues.csv", ["output", "index", "eigenvalue"],
-                   eig_rows)
-        _write_csv(out_dir / "bootstrap.csv", ["output", "index", "lo", "hi"],
-                   boot_rows)
-        _write_csv(out_dir / "summary_1d.csv", ["output", "active_1", "f"], s1_rows)
-        _write_csv(out_dir / "summary_2d.csv",
-                   ["output", "active_1", "active_2", "f"], s2_rows)
+        for file_name, (header, rows) in plots.items():
+            _write_csv(out_dir / file_name, header, rows)
         _atomic_write(out_dir / "surface.json", _json_dumps(surfaces))
         _atomic_write(out_dir / "report.json", _json_dumps(report))
     return report

@@ -151,22 +151,8 @@ def cmd_as_analyze(args) -> int:
     if args.plot_data:
         out = Path(args.plot_data)
         out.mkdir(parents=True, exist_ok=True)
-        lam = decomp.eigenvalues
-        camp._write_csv(out / "eigenvalues.csv", ["index", "eigenvalue"],
-                        [(i, float(v)) for i, v in enumerate(lam)])
-        if decomp.bootstrap_lo is not None:
-            camp._write_csv(out / "bootstrap.csv", ["index", "lo", "hi"],
-                            [(i, float(lo), float(hi)) for i, (lo, hi) in
-                             enumerate(zip(decomp.bootstrap_lo, decomp.bootstrap_hi))])
-        normalized = table.normalized_inputs()
-        a1 = normalized @ decomp.eigenvectors[:, 0]
-        camp._write_csv(out / "summary_1d.csv", ["active_1", "f"],
-                        [(float(a), float(v)) for a, v in zip(a1, table.outputs)])
-        if table.m >= 2:
-            a2 = normalized @ decomp.eigenvectors[:, 1]
-            camp._write_csv(out / "summary_2d.csv", ["active_1", "active_2", "f"],
-                            [(float(x), float(y), float(v))
-                             for x, y, v in zip(a1, a2, table.outputs)])
+        for file_name, (header, rows) in asub.plot_data(table, decomp).items():
+            camp._write_csv(out / file_name, header, rows)
         print(f"wrote plot data under {out}")
     return 0
 
@@ -207,6 +193,14 @@ def cmd_rigidbody_simulate(args) -> int:
 
 # --- campaign ---------------------------------------------------------------
 
+def _print_outputs(report: dict) -> None:
+    for name, entry in report["outputs"].items():
+        line = f"{name}: M={entry['active_dim']} structure={entry['structure']}"
+        if "mean_normalized_error" in entry:
+            line += f" mean normalized error {entry['mean_normalized_error']:.3f}"
+        print(line)
+
+
 def cmd_campaign_run(args) -> int:
     config_path = args.config
     if config_path == "demo":
@@ -226,8 +220,7 @@ def cmd_campaign_run(args) -> int:
         report = camp.analyze_campaign(
             records, bounds, config.analysis, outputs=config.outputs,
             out_dir=Path(config.output_dir) / "analysis")
-        for name, entry in report["outputs"].items():
-            print(f"{name}: M={entry['active_dim']} structure={entry['structure']}")
+        _print_outputs(report)
     return 0
 
 
@@ -237,11 +230,7 @@ def cmd_campaign_analyze(args) -> int:
     outputs = tuple(config_doc.get("outputs", ("resistance", "trim")))
     report = camp.analyze_campaign(records, bounds, settings, outputs=outputs,
                                    out_dir=Path(args.run_dir) / "analysis")
-    for name, entry in report["outputs"].items():
-        line = f"{name}: M={entry['active_dim']} structure={entry['structure']}"
-        if "mean_normalized_error" in entry:
-            line += f" mean normalized error {entry['mean_normalized_error']:.3f}"
-        print(line)
+    _print_outputs(report)
     return 0
 
 

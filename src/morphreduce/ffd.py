@@ -129,6 +129,12 @@ def to_physical(lattice: FFDLattice, stu) -> np.ndarray:
     return p[0] if single else p
 
 
+def _check_binding_indices(counts: tuple, binding: ParameterBinding) -> None:
+    for e in binding.entries:
+        if any(i >= c or i < 0 for i, c in zip(e.index, counts)):
+            raise ConfigError(f"binding entry index {e.index} outside lattice counts {counts}")
+
+
 def apply_parameters(lattice: FFDLattice, binding: ParameterBinding,
                      mu) -> FFDLattice:
     """Return a lattice copy with weight * mu[j] added at every bound entry."""
@@ -142,12 +148,9 @@ def apply_parameters(lattice: FFDLattice, binding: ParameterBinding,
         warnings.warn(
             f"{int(outside.sum())} parameter(s) outside the binding bounds; "
             "evaluating anyway", stacklevel=2)
+    _check_binding_indices(lattice.counts, binding)
     disp = np.array(lattice.displacements)
     for e in binding.entries:
-        if any(i >= c or i < 0 for i, c in zip(e.index, lattice.counts)):
-            raise ConfigError(
-                f"binding entry index {e.index} outside lattice counts {lattice.counts}"
-            )
         disp[e.index + (e.axis,)] += e.weight * mu[e.parameter]
     return lattice.with_displacements(disp)
 
@@ -274,11 +277,7 @@ def load_ffd_json(path):
                 for e in b["entries"]
             ]
             binding = ParameterBinding(entries, bounds=b["bounds"])
-            for e in binding.entries:
-                if any(i >= c or i < 0 for i, c in zip(e.index, counts)):
-                    raise ConfigError(
-                        f"{path}: binding index {e.index} outside lattice counts {counts}"
-                    )
+            _check_binding_indices(lattice.counts, binding)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc}")
     return lattice, binding

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, MeshTopologyError, ToolkitError
-from .mesh import TriMesh
+from .mesh import TriMesh, triangle_cross_products
 
 
 @dataclass
@@ -23,12 +23,6 @@ class ForceResult:
 
     force: np.ndarray
     resistance: float
-
-
-def triangle_cross_products(mesh: TriMesh) -> np.ndarray:
-    """(v1-v0) x (v2-v0) per triangle; |cross| = 2*area, direction = normal."""
-    a, b, c = mesh.corner_coordinates()
-    return np.cross(b - a, c - a)
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
@@ -47,22 +41,20 @@ def max_edge_length(mesh: TriMesh) -> float:
 
 
 def boundary_edge_count(mesh: TriMesh) -> int:
-    """Number of edges not shared by exactly two opposite-oriented triangles."""
+    """Number of edges not shared by exactly two opposite-oriented triangles.
+
+    An edge i-j with i != j counts unless it occurs exactly once as i->j and
+    once as j->i; a repeated-vertex edge i-i counts unless it occurs once.
+    """
     t = mesh.triangles
-    directed: dict = {}
-    for tri in t:
-        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            directed[e] = directed.get(e, 0) + 1
-    bad = 0
-    seen = set()
-    for (i, j), count in directed.items():
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        if count != 1 or directed.get((j, i), 0) != 1:
-            bad += 1
-    return bad
+    src, dst = t.reshape(-1), t[:, [1, 2, 0]].reshape(-1)
+    n = mesh.num_vertices
+    keys, inverse, total = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                                     return_inverse=True, return_counts=True)
+    forward = np.bincount(inverse[src < dst], minlength=len(keys))
+    repeated = keys // n == keys % n
+    good = np.where(repeated, total == 1, (total == 2) & (forward == 1))
+    return int(len(keys) - good.sum())
 
 
 def is_closed(mesh: TriMesh) -> bool:
@@ -79,17 +71,29 @@ def integrate_pressure_force(mesh: TriMesh, pressure_field: str,
     """
     if pressure_field not in mesh.scalar_fields:
         raise ToolkitError(f"mesh has no scalar field {pressure_field!r}")
-    if check_winding and not is_closed(mesh):
-        raise MeshTopologyError(
-            f"inconsistent winding or open surface: "
-            f"{boundary_edge_count(mesh)} boundary edge(s)"
-        )
+    if check_winding:
+        _require_closed(mesh)
     p = mesh.scalar_fields[pressure_field]
     t = mesh.triangles
     p_mean = p[t].mean(axis=1)
     # area * n̂ = cross/2
     force = 0.5 * (p_mean[:, None] * triangle_cross_products(mesh)).sum(axis=0)
     return ForceResult(force=force, resistance=float(force[0]))
+
+
+def _require_closed(mesh: TriMesh) -> None:
+    n_boundary = boundary_edge_count(mesh)
+    if mesh.num_triangles == 0 or n_boundary:
+        raise MeshTopologyError(
+            f"open surface or inconsistent winding: {n_boundary} boundary edge(s)"
+        )
+
+
+def _signed_tetrahedra(mesh: TriMesh):
+    """Corners and det(v0, v1, v2) per triangle of a closed oriented mesh."""
+    _require_closed(mesh)
+    a, b, c = mesh.corner_coordinates()
+    return a, b, c, np.einsum("ij,ij->i", a, np.cross(b, c))
 
 
 def enclosed_volume(mesh: TriMesh) -> float:
@@ -100,24 +104,16 @@ def enclosed_volume(mesh: TriMesh) -> float:
     closed surfaces and is exact on integer-coordinate meshes.  Positive for
     outward orientation.
     """
-    n_boundary = boundary_edge_count(mesh)
-    if mesh.num_triangles == 0 or n_boundary:
-        raise MeshTopologyError(
-            f"enclosed_volume requires a closed oriented mesh: "
-            f"{n_boundary} boundary edge(s)"
-        )
-    a, b, c = mesh.corner_coordinates()
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    det = _signed_tetrahedra(mesh)[3]
     return float(det.sum() / 6.0)
 
 
 def volume_centroid(mesh: TriMesh) -> np.ndarray:
     """Centroid of the enclosed volume (divergence-theorem tetrahedra sum)."""
-    vol = enclosed_volume(mesh)
+    a, b, c, det = _signed_tetrahedra(mesh)
+    vol = float(det.sum() / 6.0)
     if vol == 0.0:
         raise DomainError("volume centroid undefined for zero enclosed volume")
-    a, b, c = mesh.corner_coordinates()
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
     tet_centroid = (a + b + c) / 4.0  # fourth vertex is the origin
     moment = (det[:, None] * tet_centroid).sum(axis=0) / 6.0
     return moment / vol

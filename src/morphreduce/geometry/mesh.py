@@ -90,10 +90,14 @@ class TriMesh:
         if not len(t):
             return np.empty(0, dtype=np.int64)
         repeated = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
-        a, b, c = self.corner_coordinates()
-        cross = np.cross(b - a, c - a)
-        zero_area = (cross == 0.0).all(axis=1)
+        zero_area = (triangle_cross_products(self) == 0.0).all(axis=1)
         return np.nonzero(repeated | zero_area)[0]
+
+
+def triangle_cross_products(mesh: TriMesh) -> np.ndarray:
+    """(v1-v0) x (v2-v0) per triangle; |cross| = 2*area, direction = normal."""
+    a, b, c = mesh.corner_coordinates()
+    return np.cross(b - a, c - a)
 
 
 def _infer_format(path, fmt):
@@ -245,7 +249,7 @@ def _parse_stl_ascii(text: str, origin: str) -> TriMesh:
 
 def _write_stl_ascii(mesh: TriMesh, path) -> None:
     a, b, c = mesh.corner_coordinates()
-    cross = np.cross(b - a, c - a)
+    cross = triangle_cross_products(mesh)
     norms = np.linalg.norm(cross, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     normals = cross / safe[:, None]

@@ -351,6 +351,26 @@ class TestReplicatedErrors:
         assert len(errors) == 5
         assert max(errors) < 1e-6
 
+    def test_each_entry_is_a_fit_response_surface_error(self):
+        from morphreduce.activesubspace import _split_indices
+        rng = np.random.default_rng(28)
+        m, n = 4, 160
+        c = rng.standard_normal(m)
+        c /= np.linalg.norm(c)
+        x = rng.uniform(-1, 1, (n, m))
+        f = np.exp(0.8 * (x @ c)) + 0.05 * rng.standard_normal(n)
+        table = SampleTable(x, f, (0.8 * np.exp(0.8 * (x @ c)))[:, None] * c,
+                            bounds=box_bounds(m))
+        errors = replicated_errors(table, degree=2, n_replicates=4, seed=5)
+        for rep, error in enumerate(errors):
+            split_seed = int(np.random.SeedSequence([5, rep]).generate_state(1)[0])
+            train, _ = _split_indices(n, 0.75, split_seed)
+            dec = decompose(SampleTable(x[train], f[train], table.gradients[train],
+                                        table.bounds), n_boot=0)
+            dec.active_dim = choose_active_dimension(dec)
+            _, report = fit_response_surface(dec, table, degree=2, split_seed=split_seed)
+            assert error == pytest.approx(report["normalized_test_error"], rel=1e-12)
+
     def test_requires_gradients(self):
         rng = np.random.default_rng(25)
         with pytest.raises(DomainError):

@@ -202,6 +202,12 @@ class TestRunCampaign:
             for name in ("resistance", "trim"):
                 assert abs(a.scalars[name] - b.scalars[name]) < 1e-10
 
+    def test_nonpositive_thread_count_rejected(self, workspace):
+        config = self.config(workspace)
+        with pytest.raises(ConfigError, match="thread count"):
+            run_campaign(config, threads=-1)
+        assert not camp.Path(config.output_dir).exists()
+
     def test_missing_binding_rejected(self, workspace):
         tmp_path, _, mesh_path = workspace
         lattice = FFDLattice([0, 0, 0], np.eye(3), (2, 2, 2))

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from morphreduce import dmd
 from morphreduce.activesubspace import save_sample_table, SampleTable
+from morphreduce.campaign import AnalysisSettings, SampleRecord, analyze_campaign
 from morphreduce.ffd import BindingEntry, FFDLattice, ParameterBinding, save_ffd_json
 from morphreduce.geometry import icosphere, load_mesh, save_mesh
 
@@ -176,6 +178,33 @@ class TestAsCommand:
         for name in ("eigenvalues.csv", "bootstrap.csv", "summary_1d.csv",
                      "summary_2d.csv"):
             assert (plots / name).exists()
+
+    def test_plot_data_matches_campaign_analysis(self, tmp_path):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-0.3, 0.3, (80, 3))
+        f = np.sin(3.0 * x[:, 0] - x[:, 2]) + 0.1 * x[:, 1]
+        table_path = tmp_path / "samples.csv"
+        save_sample_table(SampleTable(x, f), table_path)
+        plots = tmp_path / "plots"
+        proc = run_cli("as", "analyze", "--in", str(table_path), "--boot", "15",
+                       "--degree", "2", "--split", "0.7", "--split-seed", "3",
+                       "--seed", "9", "--bounds=-0.3,0.3",
+                       "--out", str(tmp_path / "report.json"), "--plot-data", str(plots))
+        assert proc.returncode == 0, proc.stderr
+        records = [SampleRecord(i, x[i], "ok", {"f": float(v)}) for i, v in enumerate(f)]
+        settings = AnalysisSettings(degree=2, split_fraction=0.7, n_boot=15, seed=9,
+                                    split_seed=3)
+        analyze_campaign(records, np.tile([-0.3, 0.3], (3, 1)), settings, outputs=("f",),
+                         out_dir=tmp_path / "analysis")
+        for name in ("eigenvalues.csv", "bootstrap.csv", "summary_1d.csv",
+                     "summary_2d.csv"):
+            with open(plots / name, newline="") as fh:
+                cli_rows = list(csv.reader(fh))
+            with open(tmp_path / "analysis" / name, newline="") as fh:
+                campaign_rows = list(csv.reader(fh))
+            assert campaign_rows[0][0] == "output"
+            assert [row[1:] for row in campaign_rows] == cli_rows
+            assert len(cli_rows) > 1
 
 
 class TestRigidBodyCommand:

@@ -6,7 +6,8 @@ from morphreduce.geometry import (TriMesh, boundary_edge_count, enclosed_volume,
                                   icosphere, integrate_pressure_force, ittc57_drag,
                                   ittc57_friction_coefficient, load_mesh,
                                   load_scalar_field, max_edge_length, save_mesh,
-                                  save_scalar_field, surface_area, unit_cube)
+                                  save_scalar_field, surface_area, unit_cube,
+                                  volume_centroid)
 
 CUBE_OBJ = """\
 # canonical unit cube
@@ -212,6 +213,66 @@ class TestEnclosedVolume:
         assert boundary_edge_count(open_mesh) == 3
         with pytest.raises(MeshTopologyError, match="3 boundary"):
             enclosed_volume(open_mesh)
+
+
+def dict_loop_boundary_edge_count(mesh):
+    """Reference: count directed edges, then judge each undirected edge once."""
+    directed = {}
+    for tri in mesh.triangles.tolist():
+        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            directed[e] = directed.get(e, 0) + 1
+    bad = 0
+    seen = set()
+    for (i, j), count in directed.items():
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            continue
+        seen.add(key)
+        if count != 1 or directed.get((j, i), 0) != 1:
+            bad += 1
+    return bad
+
+
+class TestBoundaryEdgeCount:
+    def test_matches_dict_loop_on_random_small_meshes(self):
+        rng = np.random.default_rng(31)
+        kinds = {"repeated": 0, "duplicated": 0}
+        for _ in range(400):
+            nv = int(rng.integers(1, 7))
+            t = rng.integers(0, nv, (int(rng.integers(0, 10)), 3))
+            if len(t) and rng.random() < 0.5:
+                t = np.concatenate([t, t[rng.integers(0, len(t), 2)]])
+                kinds["duplicated"] += 1
+            if len(t) and ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
+                           | (t[:, 0] == t[:, 2])).any():
+                kinds["repeated"] += 1
+            mesh = TriMesh(rng.random((nv, 3)), t)
+            assert boundary_edge_count(mesh) == dict_loop_boundary_edge_count(mesh), t
+        assert min(kinds.values()) > 50
+
+    def test_matches_dict_loop_with_flipped_windings(self):
+        rng = np.random.default_rng(32)
+        for base in (unit_cube(), icosphere(1)):
+            assert boundary_edge_count(base) == 0
+            for _ in range(20):
+                t = np.array(base.triangles)
+                flip = rng.random(len(t)) < 0.2
+                t[flip] = t[flip][:, ::-1]
+                keep = rng.random(len(t)) < 0.9
+                mesh = TriMesh(base.vertices, t[keep])
+                assert boundary_edge_count(mesh) == dict_loop_boundary_edge_count(mesh)
+
+
+class TestVolumeCentroid:
+    @pytest.mark.parametrize("mesh", [unit_cube(),
+                                      icosphere(2, radius=0.8, center=(0.3, -0.2, 0.9))])
+    def test_first_moment_over_enclosed_volume(self, mesh):
+        a, b, c = mesh.corner_coordinates()
+        det = np.einsum("ij,ij->i", a, np.cross(b, c))
+        moment = (det[:, None] * ((a + b + c) / 4.0)).sum(axis=0) / 6.0
+        centroid = volume_centroid(mesh)
+        assert np.array_equal(centroid, moment / enclosed_volume(mesh))
+        np.testing.assert_allclose(centroid, mesh.vertices.mean(axis=0), atol=1e-12)
 
 
 class TestIttc57:
