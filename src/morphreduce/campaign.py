@@ -8,9 +8,10 @@ value), persists one record per sample, and finally runs the
 active-subspace analysis per tracked output.
 
 Samples are independent units of work; every record is written atomically
-and an interrupted run resumes by skipping indices that already have a
-record.  All randomness is derived from (campaign seed, sample index), so
-results are byte-identical across reruns and thread counts.
+and an interrupted run resumes by skipping indices that already have an ok
+record for the same parameter vector; failed records are retried.  All
+randomness is derived from (campaign seed, sample index), so results are
+byte-identical across reruns and thread counts.
 """
 
 from __future__ import annotations
@@ -318,13 +319,40 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
     return record
 
 
+def _reusable_record(run_dir: Path, index: int, mu: np.ndarray) -> SampleRecord | None:
+    """The finished record of a sample, or None when it must be (re)computed.
+
+    Unreadable and failed records are recomputed.  A record drawn for a
+    different parameter vector belongs to another configuration and raises
+    ConfigError rather than being mixed into this run.
+    """
+    record_file = run_dir / "samples" / f"{index:03d}" / "record.json"
+    if not record_file.exists():
+        return None
+    try:
+        record = SampleRecord.from_doc(json.loads(record_file.read_text()))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        logger.warning("sample %d: unreadable record (%s), recomputing", index, exc)
+        return None
+    if record.mu.tobytes() != mu.tobytes():
+        raise ConfigError(
+            f"sample {index}: {record_file} holds a record for another parameter "
+            "vector (different configuration); rerun with --no-resume or choose "
+            "a new output directory")
+    if record.status != "ok":
+        logger.info("sample %d: retrying failed record", index)
+        return None
+    return record
+
+
 def run_campaign(config: CampaignConfig, threads: int | None = None,
                  resume: bool = True) -> list:
     """Execute the full sampling campaign; returns the list of SampleRecord.
 
     Writes run_dir/manifest.json plus one samples/NNN/ directory per sample.
     Per-sample failures are recorded and isolated; config-level problems
-    (bad mesh, bad lattice) abort before any evaluation.
+    (bad mesh, bad lattice, resumable records of another configuration)
+    abort before any evaluation.
     """
     n_workers = threads if threads else (os.cpu_count() or 1)
     if n_workers < 1:
@@ -338,18 +366,16 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
+    records = [_reusable_record(run_dir, i, mus[i]) if resume else None
+               for i in range(config.n_samples)]
+    todo = [i for i, r in enumerate(records) if r is None]
+
     def work(i):
-        sample_dir = run_dir / "samples" / f"{i:03d}"
-        record_file = sample_dir / "record.json"
-        if resume and record_file.exists():
-            try:
-                return SampleRecord.from_doc(json.loads(record_file.read_text()))
-            except (json.JSONDecodeError, KeyError):
-                logger.warning("sample %d: unreadable record, recomputing", i)
         return _run_sample(i, mus[i], lattice, binding, base_mesh, config, run_dir)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        records = list(pool.map(work, range(config.n_samples)))
+        for i, record in zip(todo, pool.map(work, todo)):
+            records[i] = record
 
     manifest = {
         "config": config.to_doc(),

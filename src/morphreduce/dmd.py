@@ -215,9 +215,12 @@ def imaginary_residual(model: DMDModel, k_max: int) -> float:
 
 def save_snapshots_csv(snapshots: SnapshotSet, path) -> None:
     """First line holds t0,dt; each following row is one state component over time."""
+    n, l = snapshots.data.shape
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), in one format operation
+    row = ",".join(["%.17g"] * l) + "\n"
     with open(path, "w") as fh:
         fh.write("%.17g,%.17g\n" % (snapshots.t0, snapshots.dt))
-        np.savetxt(fh, snapshots.data, delimiter=",", fmt="%.17g")
+        fh.write((row * n) % tuple(snapshots.data.ravel().tolist()))
 
 
 def load_snapshots_csv(path) -> SnapshotSet:

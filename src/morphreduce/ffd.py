@@ -28,6 +28,8 @@ __all__ = [
     "save_ffd_json", "load_ffd_json",
 ]
 
+_DEFORM_BLOCK = 1 << 14  # points per deform_points block
+
 
 @dataclass
 class FFDLattice:
@@ -178,25 +180,32 @@ def deform_points(lattice: FFDLattice, points) -> np.ndarray:
     """Apply the deformation map to an array of points.
 
     Points outside the lattice box and points receiving an exactly zero
-    displacement are returned bit-identical.
+    displacement are returned bit-identical.  Only control points with a
+    nonzero displacement enter the blend, and points are processed in
+    blocks of _DEFORM_BLOCK, so temporaries stay bounded for large inputs.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     out = pts.copy()
-    stu = to_reference(lattice, pts)
-    inside = ((stu >= 0.0) & (stu <= 1.0)).all(axis=1)
-    if not inside.any():
+    i, j, k = np.nonzero((lattice.displacements != 0.0).any(axis=-1))
+    if not len(i):
         return out
-    s = stu[inside]
+    # physical displacement of each displaced control point, (nnz, 3)
+    control_shift = lattice.displacements[i, j, k] @ lattice.box_matrix.T
     L, M, N = lattice.counts
-    bs = _bernstein_matrix(L - 1, s[:, 0])
-    bt = _bernstein_matrix(M - 1, s[:, 1])
-    bu = _bernstein_matrix(N - 1, s[:, 2])
-    local = np.einsum("pi,pj,pk,ijkc->pc", bs, bt, bu, lattice.displacements,
-                      optimize=True)
-    shift = local @ lattice.box_matrix.T
-    moved = (shift != 0.0).any(axis=1)
-    idx = np.nonzero(inside)[0][moved]
-    out[idx] = pts[idx] + shift[moved]
+    for start in range(0, len(pts), _DEFORM_BLOCK):
+        block = pts[start:start + _DEFORM_BLOCK]
+        stu = to_reference(lattice, block)
+        inside = np.nonzero(((stu >= 0.0) & (stu <= 1.0)).all(axis=1))[0]
+        if not len(inside):
+            continue
+        s = stu[inside]
+        weights = (_bernstein_matrix(L - 1, s[:, 0])[:, i]
+                   * _bernstein_matrix(M - 1, s[:, 1])[:, j]
+                   * _bernstein_matrix(N - 1, s[:, 2])[:, k])
+        shift = weights @ control_shift
+        moved = (shift != 0.0).any(axis=1)
+        idx = inside[moved]
+        out[start + idx] = block[idx] + shift[moved]
     return out
 
 

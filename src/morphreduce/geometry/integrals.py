@@ -59,7 +59,7 @@ def boundary_edge_count(mesh: TriMesh) -> int:
 
 def is_closed(mesh: TriMesh) -> bool:
     """Closed iff every edge is shared by exactly two opposite-oriented triangles."""
-    return mesh.num_triangles > 0 and boundary_edge_count(mesh) == 0
+    return mesh.num_triangles > 0 and _cached_boundary_edge_count(mesh) == 0
 
 
 def integrate_pressure_force(mesh: TriMesh, pressure_field: str,
@@ -81,8 +81,21 @@ def integrate_pressure_force(mesh: TriMesh, pressure_field: str,
     return ForceResult(force=force, resistance=float(force[0]))
 
 
+def _cached_boundary_edge_count(mesh: TriMesh) -> int:
+    """boundary_edge_count, computed once per connectivity.
+
+    The count depends only on the triangles, which every mesh derived
+    through with_vertices or with_scalar_field shares, so it is kept in
+    their common connectivity cache.
+    """
+    cache = mesh._connectivity
+    if "boundary_edges" not in cache:
+        cache["boundary_edges"] = boundary_edge_count(mesh)
+    return cache["boundary_edges"]
+
+
 def _require_closed(mesh: TriMesh) -> None:
-    n_boundary = boundary_edge_count(mesh)
+    n_boundary = _cached_boundary_edge_count(mesh)
     if mesh.num_triangles == 0 or n_boundary:
         raise MeshTopologyError(
             f"open surface or inconsistent winding: {n_boundary} boundary edge(s)"

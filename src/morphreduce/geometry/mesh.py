@@ -2,7 +2,9 @@
 
 Vertices are stored as an (V, 3) float64 array and triangles as a (T, 3)
 integer index array.  Meshes are immutable after construction: the arrays
-are locked read-only, and field attachment returns a new mesh.
+are locked read-only, and field attachment returns a new mesh.  Meshes
+derived with with_vertices or with_scalar_field share one connectivity
+cache, so topology facts (closedness) are computed once per connectivity.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 from ..errors import MeshFormatError, ToolkitError
 
 _FLOAT_FMT = "%.17g"  # round-trips IEEE doubles exactly
+_OBJ_VERTEX = f"v {_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT}\n"
+_OBJ_FACE = "f %d %d %d\n"
 
 
 def _as_locked(a: np.ndarray) -> np.ndarray:
@@ -36,6 +40,9 @@ class TriMesh:
     triangles: np.ndarray
     scalar_fields: dict = field(default_factory=dict)
     vector_fields: dict = field(default_factory=dict)
+    # topology facts of `triangles`, filled lazily and shared with derived meshes
+    _connectivity: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -77,12 +84,17 @@ class TriMesh:
     def with_scalar_field(self, name: str, values) -> "TriMesh":
         fields = dict(self.scalar_fields)
         fields[name] = np.asarray(values, dtype=float)
-        return TriMesh(self.vertices, self.triangles, fields, dict(self.vector_fields))
+        return self._same_connectivity(self.vertices, fields, dict(self.vector_fields))
 
     def with_vertices(self, vertices) -> "TriMesh":
         """Same connectivity and fields, new vertex positions."""
-        return TriMesh(vertices, self.triangles, dict(self.scalar_fields),
-                       dict(self.vector_fields))
+        return self._same_connectivity(vertices, dict(self.scalar_fields),
+                                       dict(self.vector_fields))
+
+    def _same_connectivity(self, vertices, scalar_fields, vector_fields) -> "TriMesh":
+        mesh = TriMesh(vertices, self.triangles, scalar_fields, vector_fields)
+        mesh._connectivity = self._connectivity
+        return mesh
 
     def degenerate_triangles(self) -> np.ndarray:
         """Indices of triangles with repeated vertices or exactly zero area."""
@@ -198,12 +210,10 @@ def _parse_obj(text: str, origin: str) -> TriMesh:
 
 
 def _write_obj(mesh: TriMesh, path) -> None:
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(_FLOAT_FMT % c for c in v))
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    # one format operation per record kind: per-value formatting dominates otherwise
+    Path(path).write_text(
+        (_OBJ_VERTEX * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist())
+        + (_OBJ_FACE * mesh.num_triangles) % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
 def _parse_stl_ascii(text: str, origin: str) -> TriMesh:

@@ -188,6 +188,66 @@ class TestRunCampaign:
         assert calls == [1]
         assert all(r.status == "ok" for r in records)
 
+    def counting_run_sample(self, monkeypatch):
+        calls = []
+        original = camp._run_sample
+
+        def counting(index, *args, **kwargs):
+            calls.append(index)
+            return original(index, *args, **kwargs)
+
+        monkeypatch.setattr(camp, "_run_sample", counting)
+        return calls
+
+    def test_resume_recomputes_corrupt_record(self, workspace, monkeypatch, caplog):
+        config = self.config(workspace, n_samples=3)
+        first = run_campaign(config, threads=1)
+        record_file = camp.Path(config.output_dir) / "samples" / "002" / "record.json"
+        doc = json.loads(record_file.read_text())
+        doc["mu"] = "garbage"
+        record_file.write_text(json.dumps(doc))
+        calls = self.counting_run_sample(monkeypatch)
+        records = run_campaign(config, threads=1)
+        assert calls == [2]
+        assert "sample 2: unreadable record" in caplog.text
+        assert [r.to_doc() for r in records] == [r.to_doc() for r in first]
+
+    def test_resume_refuses_records_of_another_seed(self, workspace):
+        config = self.config(workspace, n_samples=12, seed=7)
+        run_campaign(config, threads=2)
+        run_dir = camp.Path(config.output_dir)
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        reseeded = self.config(workspace, n_samples=12, seed=8)
+        with pytest.raises(ConfigError, match="sample 0: .*--no-resume"):
+            run_campaign(reseeded, threads=2)
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+        records = run_campaign(reseeded, threads=2, resume=False)
+        assert all(r.status == "ok" for r in records)
+        assert run_campaign(reseeded, threads=2)[0].mu.tobytes() == records[0].mu.tobytes()
+
+    def test_resume_retries_failed_record(self, workspace, monkeypatch):
+        config = self.config(workspace, n_samples=4, outputs=("resistance",))
+        original = camp.evaluate_objective
+        target = camp.sample_parameters(
+            camp.load_ffd_json(config.ffd_path)[1], 4, seed=config.seed)[1]
+        failures = []
+
+        def fails_once(spec, mu, mesh=None, mesh_path=None):
+            if not failures and np.array_equal(mu, target):
+                failures.append(1)
+                raise RuntimeError("transient evaluator failure")
+            return original(spec, mu, mesh=mesh, mesh_path=mesh_path)
+
+        monkeypatch.setattr(camp, "evaluate_objective", fails_once)
+        first = run_campaign(config, threads=1)
+        assert [r.status for r in first] == ["ok", "failed", "ok", "ok"]
+        calls = self.counting_run_sample(monkeypatch)
+        records = run_campaign(config, threads=1)
+        assert calls == [1]
+        assert [r.status for r in records] == ["ok"] * 4
+        manifest = json.loads((camp.Path(config.output_dir) / "manifest.json").read_text())
+        assert manifest["n_ok"] == 4
+
     def test_pipeline_consistency_without_transient(self, workspace):
         # constant series: steady-state scalar equals the instantaneous value
         config_flat = self.config(workspace, n_samples=2, time_resolved=False,

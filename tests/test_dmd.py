@@ -253,6 +253,19 @@ class TestPersistence:
         assert back.t0 == 7.0 and back.dt == 0.1
         assert np.array_equal(back.data, snaps.data)
 
+    def test_csv_bytes_match_savetxt(self, tmp_path):
+        rng = np.random.default_rng(51)
+        path = tmp_path / "snaps.csv"
+        for n, l in ((1, 2), (3, 7), (24, 81)):
+            data = rng.standard_normal((n, l)) * 10.0 ** rng.integers(-307, 308, (n, l))
+            data.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1][:data.size]
+            snaps = SnapshotSet(data, t0=-0.0, dt=0.1)
+            save_snapshots_csv(snaps, path)
+            with open(tmp_path / "ref.csv", "w") as fh:
+                fh.write("%.17g,%.17g\n" % (snaps.t0, snaps.dt))
+                np.savetxt(fh, snaps.data, delimiter=",", fmt="%.17g")
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "nohead.csv"
         path.write_text("1.0,2.0,3.0\n")

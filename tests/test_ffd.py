@@ -1,6 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from morphreduce import ffd
 from morphreduce.errors import ConfigError, DomainError
 from morphreduce.ffd import (BindingEntry, FFDLattice, ParameterBinding,
                              apply_parameters, basis_partition, deform_mesh,
@@ -17,6 +20,21 @@ def unit_lattice(counts=(2, 2, 2)):
 def skewed_lattice():
     axes = np.array([[2.0, 0.3, 0.0], [0.0, 1.5, 0.2], [0.1, 0.0, 1.0]])
     return FFDLattice(origin=[1.0, -0.5, 0.25], axes=axes, counts=(3, 4, 2))
+
+
+def dense_deform_reference(lattice, points):
+    """Dense tensor-product blend over every control point, with its shift."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    stu = to_reference(lattice, pts)
+    inside = ((stu >= 0.0) & (stu <= 1.0)).all(axis=1)
+    s = stu[inside]
+    bases = [np.stack([comb(n - 1, i) * s[:, a] ** i * (1.0 - s[:, a]) ** (n - 1 - i)
+                       for i in range(n)], axis=1)
+             for a, n in enumerate(lattice.counts)]
+    local = np.einsum("pi,pj,pk,ijkc->pc", *bases, lattice.displacements)
+    shift = np.zeros_like(pts)
+    shift[inside] = local @ lattice.box_matrix.T
+    return pts + shift, shift
 
 
 class TestReferenceMap:
@@ -265,3 +283,59 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_ffd_json(path)
+
+
+class TestSparseBlockedDeform:
+    """deform_points blends only displaced control points, block by block."""
+
+    def lattices(self, rng):
+        dense = skewed_lattice().with_displacements(rng.normal(0.0, 0.1, (3, 4, 2, 3)))
+        sparse = np.zeros((6, 6, 6, 3))
+        sparse[1:5:3, 2:4, 1:5:3, rng.integers(0, 3)] = rng.normal(0.0, 0.2, (2, 2, 2))
+        box = FFDLattice([-0.5, -1.0, 0.2], np.diag([2.2, 1.7, 1.3]), (6, 6, 6), sparse)
+        single = np.zeros((4, 3, 5, 3))
+        single[2, 1, 3] = [0.0, 0.3, -0.1]
+        return [dense, box, skewed_lattice().with_displacements(np.zeros((3, 4, 2, 3))),
+                FFDLattice([0, 0, 0], np.eye(3), (4, 3, 5), single)]
+
+    def points(self, lattice, rng, n):
+        """Points in and around the box, some exactly on its faces."""
+        stu = rng.uniform(-0.25, 1.25, (n, 3))
+        stu[: n // 10, 0] = 0.0
+        stu[n // 10: n // 5, 2] = 1.0
+        return to_physical(lattice, stu)
+
+    def check_against_dense(self, lattice, pts):
+        out = deform_points(lattice, pts)
+        ref, shift = dense_deform_reference(lattice, pts)
+        assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+        untouched = (shift == 0.0).all(axis=1)
+        assert np.array_equal(out[untouched].view(np.uint64),
+                              pts[untouched].view(np.uint64))
+        return untouched
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(40)
+        for lattice in self.lattices(rng):
+            untouched = self.check_against_dense(lattice, self.points(lattice, rng, 3000))
+            assert untouched.any()
+
+    def test_block_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        lattice = self.lattices(rng)[0]
+        pts = self.points(lattice, rng, ffd._DEFORM_BLOCK + 777)
+        self.check_against_dense(lattice, pts)
+        monkeypatch.setattr(ffd, "_DEFORM_BLOCK", 64)
+        self.check_against_dense(lattice, pts[:1000])
+
+    def test_untouched_points_bit_identical(self):
+        disp = np.zeros((4, 4, 4, 3))
+        disp[1:3, 1:3, 1:3] = 0.1
+        lat = unit_lattice((4, 4, 4)).with_displacements(disp)
+        pts = np.array([[-0.0, 0.5, 0.5], [0.5, -0.0, 0.5], [0.5, 0.5, 1.0],
+                        [2.0, -0.0, 0.5], [0.5, 0.5, 0.5], [-1e-300, 0.5, 0.5]])
+        out = deform_points(lat, pts)
+        untouched = [0, 1, 2, 3, 5]
+        assert np.array_equal(out[untouched].view(np.uint64),
+                              pts[untouched].view(np.uint64))
+        assert (out[4] != pts[4]).all()

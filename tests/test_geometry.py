@@ -1,13 +1,16 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
 from morphreduce.errors import DomainError, MeshFormatError, MeshTopologyError, ToolkitError
-from morphreduce.geometry import (TriMesh, boundary_edge_count, enclosed_volume,
-                                  icosphere, integrate_pressure_force, ittc57_drag,
+from morphreduce.geometry import (TriMesh, boundary_edge_count, demo_hull,
+                                  enclosed_volume, icosphere, integrate_pressure_force, ittc57_drag,
                                   ittc57_friction_coefficient, load_mesh,
                                   load_scalar_field, max_edge_length, save_mesh,
                                   save_scalar_field, surface_area, unit_cube,
                                   volume_centroid)
+from morphreduce.geometry import integrals
 
 CUBE_OBJ = """\
 # canonical unit cube
@@ -41,6 +44,40 @@ def rotation_matrix(axis, angle):
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def per_vertex_obj_text(mesh):
+    """Reference OBJ writer: one formatted line per vertex and per face."""
+    lines = ["v " + " ".join("%.17g" % c for c in v) for v in mesh.vertices]
+    lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in mesh.triangles]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def extreme_values(rng, n):
+    """Doubles over the whole exponent range, with signed zeros and subnormals."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-307, 308, n)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 0.1]
+    x[: len(special)] = special[:n]
+    return x
+
+
+class TestObjWriter:
+    def test_bytes_match_per_vertex_writer(self, tmp_path):
+        rng = np.random.default_rng(50)
+        path = tmp_path / "m.obj"
+        for nv, nt in ((0, 0), (1, 0), (3, 1), (37, 60), (500, 2000)):
+            v = extreme_values(rng, 3 * nv).reshape(-1, 3)
+            t = rng.integers(0, max(nv, 1), (nt, 3)) if nv else np.empty((0, 3), int)
+            mesh = TriMesh(v, t)
+            save_mesh(mesh, path)
+            assert path.read_bytes() == per_vertex_obj_text(mesh).encode()
+
+    def test_demo_hull_reproduces_shipped_file(self, tmp_path):
+        path = tmp_path / "hull.obj"
+        save_mesh(demo_hull(), path)
+        shipped = files("morphreduce") / "data" / "demo_hull.obj"
+        assert path.read_bytes() == shipped.read_bytes()
 
 
 class TestMeshIO:
@@ -261,6 +298,47 @@ class TestBoundaryEdgeCount:
                 keep = rng.random(len(t)) < 0.9
                 mesh = TriMesh(base.vertices, t[keep])
                 assert boundary_edge_count(mesh) == dict_loop_boundary_edge_count(mesh)
+
+
+class TestClosednessOncePerConnectivity:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = integrals.boundary_edge_count
+
+        def counting(mesh):
+            calls.append(mesh.num_triangles)
+            return original(mesh)
+
+        monkeypatch.setattr(integrals, "boundary_edge_count", counting)
+        return calls
+
+    def test_counted_once_across_derived_meshes(self, calls):
+        base = icosphere(2)
+        rng = np.random.default_rng(60)
+        children = [base.with_vertices(base.vertices * (1.0 + 0.1 * rng.random((1, 3))))
+                    for _ in range(3)]
+        children.append(children[0].with_scalar_field("p", np.ones(base.num_vertices)))
+        for mesh in children + [base]:
+            enclosed_volume(mesh)
+            volume_centroid(mesh)
+            integrate_pressure_force(mesh.with_scalar_field("q", mesh.vertices[:, 2]),
+                                     "q", check_winding=True)
+        assert calls == [base.num_triangles]
+
+    def test_other_triangles_do_not_share_the_cache(self, calls):
+        base = icosphere(1)
+        enclosed_volume(base)
+        flipped = TriMesh(base.vertices, base.triangles[:, ::-1])
+        assert enclosed_volume(flipped) < 0.0
+        fresh = TriMesh(base.vertices, base.triangles)
+        volume_centroid(fresh)
+        assert len(calls) == 3
+        open_mesh = TriMesh(base.vertices, base.triangles[:-1])
+        for mesh in (open_mesh, open_mesh.with_vertices(2.0 * open_mesh.vertices)):
+            with pytest.raises(MeshTopologyError, match="3 boundary"):
+                volume_centroid(mesh)
+        assert len(calls) == 4
 
 
 class TestVolumeCentroid:
