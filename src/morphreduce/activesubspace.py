@@ -20,6 +20,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .textio import write_csv
 
 __all__ = [
     "SampleTable", "ASDecomposition", "ResponseSurface",
@@ -525,16 +526,11 @@ def plot_data(table: SampleTable, decomp: ASDecomposition) -> dict:
 def save_sample_table(table: SampleTable, path) -> None:
     """Columns mu_1..mu_m, f and, when present, g_1..g_m."""
     header = [f"mu_{j + 1}" for j in range(table.m)] + ["f"]
+    columns = [table.inputs, table.outputs]
     if table.gradients is not None:
         header += [f"g_{j + 1}" for j in range(table.m)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(table.n):
-            row = ["%.17g" % v for v in table.inputs[i]] + ["%.17g" % table.outputs[i]]
-            if table.gradients is not None:
-                row += ["%.17g" % v for v in table.gradients[i]]
-            writer.writerow(row)
+        columns.append(table.gradients)
+    write_csv(path, np.column_stack(columns), header)
 
 
 def load_sample_table(path, bounds=None) -> SampleTable:

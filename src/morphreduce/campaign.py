@@ -16,8 +16,6 @@ byte-identical across reruns and thread counts.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +31,7 @@ from .ffd import apply_parameters, deform_mesh, load_ffd_json, sample_parameters
 from .geometry import TriMesh, load_mesh, save_mesh, volume_centroid
 from .surrogate import (ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec,
                         evaluate_objective, generate_timeseries)
+from .textio import read_json, write_csv, write_json
 
 __all__ = [
     "DMDSettings", "AnalysisSettings", "CampaignConfig", "SampleRecord",
@@ -110,6 +109,8 @@ class CampaignConfig:
         self.outputs = tuple(self.outputs)
         if not self.outputs:
             raise ConfigError("campaign needs at least one tracked output")
+        if any(c in str(name) for name in self.outputs for c in ',"\r\n'):  # CSVs are unquoted
+            raise ConfigError(f"output name with a comma, quote or newline in {self.outputs}")
         if self.transient_modes is None:
             self.transient_modes = [dict(m) for m in self.DEFAULT_TRANSIENTS]
         if self.time_resolved and self.n_channels < len(self.outputs) + 1:
@@ -140,24 +141,13 @@ def load_campaign_config(path) -> CampaignConfig:
     The ffd and mesh paths are resolved relative to the config file;
     output_dir is resolved relative to the working directory.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})")
-    base = path.parent
-
-    def resolve(p):
-        p = Path(p)
-        return str(p if p.is_absolute() else base / p)
-
-    try:
-        objective = ObjectiveSpec(**doc["objective"])
-        config = CampaignConfig(
-            ffd_path=resolve(doc["ffd"]),
-            mesh_path=resolve(doc["mesh"]),
+    base = Path(path).parent  # joining keeps an absolute path as it is
+    with read_json(path) as doc:
+        return CampaignConfig(
+            ffd_path=str(base / doc["ffd"]),
+            mesh_path=str(base / doc["mesh"]),
             n_samples=int(doc["samples"]),
-            objective=objective,
+            objective=ObjectiveSpec(**doc["objective"]),
             output_dir=doc.get("output_dir", "campaign_run"),
             scheme=doc.get("scheme", "latin-hypercube"),
             seed=int(doc.get("seed", 0)),
@@ -168,9 +158,6 @@ def load_campaign_config(path) -> CampaignConfig:
             dmd=DMDSettings(**doc.get("dmd", {})),
             analysis=AnalysisSettings(**doc.get("analysis", {})),
         )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: bad campaign document ({exc})")
-    return config
 
 
 @dataclass
@@ -200,7 +187,10 @@ class SampleRecord:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SampleRecord":
-        return cls(index=int(doc["index"]), mu=np.asarray(doc["mu"], dtype=float),
+        mu = doc["mu"]
+        if not isinstance(mu, list) or not all(isinstance(v, (int, float)) for v in mu):
+            raise ValueError(f"mu must be a list of numbers, got {mu!r}")
+        return cls(index=int(doc["index"]), mu=np.array(mu, dtype=float),
                    status=doc["status"], scalars=dict(doc.get("scalars", {})),
                    mesh_path=doc.get("mesh"), series_path=doc.get("series"),
                    reason=doc.get("reason"))
@@ -218,16 +208,6 @@ def trim_proxy(mesh: TriMesh) -> float:
         raise DomainError("degenerate mesh: zero longitudinal extent")
     mid = 0.5 * float(x.max() + x.min())
     return (float(volume_centroid(mesh)[0]) - mid) / extent
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _tracked_scalars(config: CampaignConfig, mu, mesh, mesh_path) -> dict:
@@ -294,8 +274,7 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
         mesh = deform_mesh(morphed, base_mesh)
         mesh_file = sample_dir / "mesh.obj"
         save_mesh(mesh, mesh_file)
-        with open(sample_dir / "mu.csv", "w") as fh:
-            fh.write(",".join("%.17g" % v for v in mu) + "\n")
+        write_csv(sample_dir / "mu.csv", [mu])
 
         scalars = _tracked_scalars(config, mu, mesh, mesh_file)
         series_rel = None
@@ -315,7 +294,7 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
     except Exception as exc:  # fault isolation: one bad sample never aborts the run
         logger.warning("sample %d failed: %s", index, exc)
         record = SampleRecord(index=index, mu=mu, status="failed", reason=str(exc))
-    _atomic_write(sample_dir / "record.json", _json_dumps(record.to_doc()))
+    write_json(sample_dir / "record.json", record.to_doc())
     return record
 
 
@@ -330,8 +309,9 @@ def _reusable_record(run_dir: Path, index: int, mu: np.ndarray) -> SampleRecord 
     if not record_file.exists():
         return None
     try:
-        record = SampleRecord.from_doc(json.loads(record_file.read_text()))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        with read_json(record_file) as doc:
+            record = SampleRecord.from_doc(doc)
+    except ConfigError as exc:
         logger.warning("sample %d: unreadable record (%s), recomputing", index, exc)
         return None
     if record.mu.tobytes() != mu.tobytes():
@@ -384,7 +364,7 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
         "n_ok": sum(1 for r in records if r.status == "ok"),
         "records": [r.to_doc() for r in records],
     }
-    _atomic_write(run_dir / "manifest.json", _json_dumps(manifest))
+    write_json(run_dir / "manifest.json", manifest)
     n_failed = config.n_samples - manifest["n_ok"]
     logger.info("campaign finished: %d ok, %d failed", manifest["n_ok"], n_failed)
     return records
@@ -392,22 +372,10 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
 
 def load_run_records(run_dir):
     """Read back (records, bounds, config-doc) from a finished run directory."""
-    manifest_path = Path(run_dir) / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{manifest_path}: invalid manifest ({exc})")
-    records = [SampleRecord.from_doc(doc) for doc in manifest["records"]]
-    bounds = np.asarray(manifest["bounds"], dtype=float)
+    with read_json(Path(run_dir) / "manifest.json") as manifest:
+        records = [SampleRecord.from_doc(doc) for doc in manifest["records"]]
+        bounds = np.asarray(manifest["bounds"], dtype=float)
     return records, bounds, manifest.get("config", {})
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
 
 
 def analyze_campaign(records, bounds, settings: AnalysisSettings,
@@ -453,7 +421,7 @@ def analyze_campaign(records, bounds, settings: AnalysisSettings,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for file_name, (header, rows) in plots.items():
-            _write_csv(out_dir / file_name, header, rows)
-        _atomic_write(out_dir / "surface.json", _json_dumps(surfaces))
-        _atomic_write(out_dir / "report.json", _json_dumps(report))
+            write_csv(out_dir / file_name, rows, header)
+        write_json(out_dir / "surface.json", surfaces)
+        write_json(out_dir / "report.json", report)
     return report

@@ -8,9 +8,7 @@ as ``error: <code>: <message>`` on stderr), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
-import os
 import secrets
 import sys
 from pathlib import Path
@@ -21,17 +19,13 @@ from . import activesubspace as asub
 from . import campaign as camp
 from . import dmd, ffd, rigidbody
 from .errors import ConfigError, ToolkitError
+from .textio import csv_lines, read_json, write_csv, write_json
 
 logger = logging.getLogger("morphreduce.cli")
 
 
-def _common_flags(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomness (a generated seed is printed if omitted)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="bound on internal worker pools (default: available parallelism)")
-    parser.add_argument("--log-level", default="warning",
-                        choices=["debug", "info", "warning", "error"])
+def _seed_flag(parser, text="seed for any randomness (a generated seed is printed if omitted)"):
+    parser.add_argument("--seed", type=int, default=None, help=text)
 
 
 def _resolve_seed(args) -> int:
@@ -97,10 +91,7 @@ def cmd_ffd_sample(args) -> int:
         raise ConfigError(f"{args.lattice} has no parameter binding")
     seed = _resolve_seed(args)
     mus = ffd.sample_parameters(binding, args.n, scheme=args.scheme, seed=seed)
-    with open(args.outfile, "w") as fh:
-        fh.write(",".join(f"mu_{j + 1}" for j in range(binding.dimension)) + "\n")
-        for row in mus:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_csv(args.outfile, mus, [f"mu_{j + 1}" for j in range(binding.dimension)])
     print(f"wrote {args.outfile} ({args.n} x {binding.dimension})")
     return 0
 
@@ -125,7 +116,7 @@ def cmd_dmd_fit(args) -> int:
 def cmd_dmd_predict(args) -> int:
     model = dmd.load_model_json(args.model)
     state = dmd.predict_at_time(model, args.t)
-    print(",".join("%.17g" % v for v in state))
+    sys.stdout.writelines(csv_lines([state]))
     return 0
 
 
@@ -144,7 +135,7 @@ def cmd_as_analyze(args) -> int:
     doc = dict(report)
     if surface is not None:
         doc["surface_model"] = asub.surface_to_doc(surface)
-    Path(args.outfile).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(args.outfile, doc)
     print(f"active dimension {report['active_dim']}, structure {report['structure']}, "
           f"wrote {args.outfile}")
 
@@ -152,7 +143,7 @@ def cmd_as_analyze(args) -> int:
         out = Path(args.plot_data)
         out.mkdir(parents=True, exist_ok=True)
         for file_name, (header, rows) in asub.plot_data(table, decomp).items():
-            camp._write_csv(out / file_name, header, rows)
+            write_csv(out / file_name, rows, header)
         print(f"wrote plot data under {out}")
     return 0
 
@@ -160,11 +151,7 @@ def cmd_as_analyze(args) -> int:
 # --- rigidbody --------------------------------------------------------------
 
 def cmd_rigidbody_simulate(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: invalid JSON ({exc})")
-    try:
+    with read_json(args.config) as doc:
         props = rigidbody.BodyProperties(
             mass=float(doc["mass"]), inertia=doc["inertia"],
             gravity=doc.get("gravity"))
@@ -183,8 +170,6 @@ def cmd_rigidbody_simulate(args) -> int:
         else:
             raise ConfigError(f"unknown force model kind {force_doc.get('kind')!r}")
         t0 = float(doc.get("t0", 0.0))
-    except KeyError as exc:
-        raise ConfigError(f"{args.config}: missing field {exc}")
     times, states = rigidbody.simulate(state, props, forces, t0, args.t_end, args.dt)
     rigidbody.save_trajectory_csv(args.outfile, times, states)
     print(f"wrote {args.outfile} ({len(times)} states)")
@@ -250,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None, help="comma-separated parameter vector")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    _common_flags(p)
     p.set_defaults(func=cmd_ffd_deform)
     p = g_ffd.add_parser("sample", help="draw parameter vectors from the binding box")
     p.add_argument("--lattice", required=True)
@@ -258,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="latin-hypercube",
                    choices=["latin-hypercube", "uniform-random"])
     p.add_argument("--out", dest="outfile", required=True)
-    _common_flags(p)
+    _seed_flag(p)
     p.set_defaults(func=cmd_ffd_sample)
 
     g_dmd = groups.add_parser("dmd", help="dynamic mode decomposition").add_subparsers(
@@ -270,12 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integer rank, energy fraction in (0,1], 'full' or 'auto'")
     p.add_argument("--modes", default="exact", choices=["exact", "projected"])
     p.add_argument("--out", dest="outfile", required=True)
-    _common_flags(p)
     p.set_defaults(func=cmd_dmd_fit)
     p = g_dmd.add_parser("predict", help="evaluate a fitted model at a time")
     p.add_argument("--model", required=True)
     p.add_argument("--t", type=float, required=True)
-    _common_flags(p)
     p.set_defaults(func=cmd_dmd_predict)
 
     g_as = groups.add_parser("as", help="active-subspace analysis").add_subparsers(
@@ -296,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--plot-data", default=None,
                    help="directory for eigenvalue/bootstrap/summary CSVs")
-    _common_flags(p)
+    _seed_flag(p)
     p.set_defaults(func=cmd_as_analyze)
 
     g_rb = groups.add_parser("rigidbody", help="rigid-body dynamics").add_subparsers(
@@ -306,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    _common_flags(p)
     p.set_defaults(func=cmd_rigidbody_simulate)
 
     g_camp = groups.add_parser("campaign", help="design-study campaigns").add_subparsers(
@@ -319,13 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recompute samples even when records exist")
     p.add_argument("--analyze", action="store_true",
                    help="run the analysis stage after sampling")
-    _common_flags(p)
+    _seed_flag(p, "override the campaign seed of the config document")
+    p.add_argument("--threads", type=int, default=None,
+                   help="bound on the sample worker pool (default: available parallelism)")
     p.set_defaults(func=cmd_campaign_run)
     p = g_camp.add_parser("analyze", help="analyze a finished run directory")
     p.add_argument("--run-dir", dest="run_dir", required=True)
-    _common_flags(p)
     p.set_defaults(func=cmd_campaign_analyze)
 
+    for group in (g_ffd, g_dmd, g_as, g_rb, g_camp):
+        for p in group.choices.values():
+            p.add_argument("--log-level", default="warning",
+                           choices=["debug", "info", "warning", "error"])
     return parser
 
 
@@ -341,7 +327,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: io_not_found: {exc}", file=sys.stderr)
         return 1
-    except IsADirectoryError as exc:
+    except OSError as exc:
         print(f"error: io_error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ forecasting:
 
 from __future__ import annotations
 
-import json
 import struct
 import warnings
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .textio import FLOAT, read_json, write_csv, write_json
 
 __all__ = [
     "SnapshotSet", "DMDModel", "build_shift_pair", "fit",
@@ -215,12 +215,7 @@ def imaginary_residual(model: DMDModel, k_max: int) -> float:
 
 def save_snapshots_csv(snapshots: SnapshotSet, path) -> None:
     """First line holds t0,dt; each following row is one state component over time."""
-    n, l = snapshots.data.shape
-    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), in one format operation
-    row = ",".join(["%.17g"] * l) + "\n"
-    with open(path, "w") as fh:
-        fh.write("%.17g,%.17g\n" % (snapshots.t0, snapshots.dt))
-        fh.write((row * n) % tuple(snapshots.data.ravel().tolist()))
+    write_csv(path, snapshots.data, [FLOAT % snapshots.t0, FLOAT % snapshots.dt])
 
 
 def load_snapshots_csv(path) -> SnapshotSet:
@@ -269,17 +264,14 @@ def save_model_json(model: DMDModel, path) -> None:
         "amplitudes_real": model.amplitudes.real.tolist(),
         "amplitudes_imag": model.amplitudes.imag.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_model_json(path) -> DMDModel:
-    try:
-        doc = json.loads(Path(path).read_text())
+    with read_json(path) as doc:
         modes = np.array(doc["modes_real"]) + 1j * np.array(doc["modes_imag"])
         lam = np.array(doc["eigenvalues_real"]) + 1j * np.array(doc["eigenvalues_imag"])
         b = np.array(doc["amplitudes_real"]) + 1j * np.array(doc["amplitudes_imag"])
         return DMDModel(modes=modes, eigenvalues=lam, amplitudes=b,
                         rank=int(doc["rank"]), t0=float(doc["t0"]),
                         dt=float(doc["dt"]), mode_kind=doc["mode_kind"])
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"{path}: invalid model document ({exc})")

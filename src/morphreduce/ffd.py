@@ -10,16 +10,15 @@ outside [0, 1]^3 are returned untouched.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geometry import TriMesh
+from .textio import read_json, write_json
 
 __all__ = [
     "FFDLattice", "BindingEntry", "ParameterBinding",
@@ -262,16 +261,12 @@ def save_ffd_json(path, lattice: FFDLattice, binding: ParameterBinding | None = 
                 for e in binding.entries
             ],
         }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_ffd_json(path):
     """Load (lattice, binding-or-None) from a JSON document."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})")
-    try:
+    with read_json(path) as doc:
         counts = tuple(doc["counts"])
         disp = np.zeros(counts + (3,))
         for entry in doc.get("displacements", []):
@@ -287,6 +282,4 @@ def load_ffd_json(path):
             ]
             binding = ParameterBinding(entries, bounds=b["bounds"])
             _check_binding_indices(lattice.counts, binding)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc}")
     return lattice, binding

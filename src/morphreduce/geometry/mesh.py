@@ -16,10 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import MeshFormatError, ToolkitError
+from ..textio import FLOAT, write_csv, write_text
 
-_FLOAT_FMT = "%.17g"  # round-trips IEEE doubles exactly
-_OBJ_VERTEX = f"v {_FLOAT_FMT} {_FLOAT_FMT} {_FLOAT_FMT}\n"
+_XYZ = f"{FLOAT} {FLOAT} {FLOAT}\n"
+_OBJ_VERTEX = "v " + _XYZ
 _OBJ_FACE = "f %d %d %d\n"
+_STL_FACET = ("  facet normal " + _XYZ + "    outer loop\n" + ("      vertex " + _XYZ) * 3
+              + "    endloop\n  endfacet\n")
 
 
 def _as_locked(a: np.ndarray) -> np.ndarray:
@@ -211,9 +214,9 @@ def _parse_obj(text: str, origin: str) -> TriMesh:
 
 def _write_obj(mesh: TriMesh, path) -> None:
     # one format operation per record kind: per-value formatting dominates otherwise
-    Path(path).write_text(
-        (_OBJ_VERTEX * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist())
-        + (_OBJ_FACE * mesh.num_triangles) % tuple((mesh.triangles + 1).ravel().tolist()))
+    write_text(path, (
+        (_OBJ_VERTEX * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist()),
+        (_OBJ_FACE * mesh.num_triangles) % tuple((mesh.triangles + 1).ravel().tolist())))
 
 
 def _parse_stl_ascii(text: str, origin: str) -> TriMesh:
@@ -263,16 +266,9 @@ def _write_stl_ascii(mesh: TriMesh, path) -> None:
     norms = np.linalg.norm(cross, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     normals = cross / safe[:, None]
-    lines = ["solid mesh"]
-    for i in range(mesh.num_triangles):
-        lines.append("  facet normal " + " ".join(_FLOAT_FMT % x for x in normals[i]))
-        lines.append("    outer loop")
-        for corner in (a[i], b[i], c[i]):
-            lines.append("      vertex " + " ".join(_FLOAT_FMT % x for x in corner))
-        lines.append("    endloop")
-        lines.append("  endfacet")
-    lines.append("endsolid mesh")
-    Path(path).write_text("\n".join(lines) + "\n")
+    facets = (_STL_FACET * mesh.num_triangles) % tuple(
+        np.hstack([normals, a, b, c]).ravel().tolist())
+    write_text(path, ("solid mesh\n", facets, "endsolid mesh\n"))
 
 
 def load_scalar_field(mesh: TriMesh, path, name: str) -> TriMesh:
@@ -304,8 +300,4 @@ def save_scalar_field(mesh: TriMesh, name: str, path) -> None:
     if name not in mesh.scalar_fields:
         raise ToolkitError(f"mesh has no scalar field {name!r}")
     values = mesh.scalar_fields[name]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex_index", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([i, _FLOAT_FMT % v])
+    write_csv(path, list(enumerate(values.tolist())), ["vertex_index", "value"])

@@ -14,12 +14,12 @@ back to unit norm after each step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .textio import write_csv
 
 __all__ = [
     "quat_product", "quat_norm", "quat_normalize", "quat_to_rotation",
@@ -190,8 +190,4 @@ def simulate(state: RigidBodyState, props: BodyProperties, forces,
 def save_trajectory_csv(path, times, states) -> None:
     header = ["t", "x", "y", "z", "vx", "vy", "vz",
               "wx", "wy", "wz", "qs", "qx", "qy", "qz"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, row in zip(times, states):
-            writer.writerow(["%.17g" % t] + ["%.17g" % v for v in row])
+    write_csv(path, np.column_stack((times, states)), header)

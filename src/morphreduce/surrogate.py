@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, EvaluatorError
 from .dmd import SnapshotSet
 from .geometry import TriMesh, enclosed_volume, ittc57_drag, surface_area
+from .textio import write_csv
 
 __all__ = [
     "ObjectiveSpec", "evaluate_objective", "objective_gradient", "run_external",
@@ -159,7 +160,7 @@ def run_external(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
     mu = np.asarray(mu, dtype=float).reshape(-1)
     with tempfile.TemporaryDirectory(prefix="morphreduce-") as tmp:
         mu_path = Path(tmp) / "mu.csv"
-        mu_path.write_text(",".join("%.17g" % v for v in mu) + "\n")
+        write_csv(mu_path, [mu])
         if mesh_path is None:
             if mesh is None:
                 raise EvaluatorError("external-command objective needs a mesh or mesh path")

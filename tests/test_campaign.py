@@ -63,6 +63,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DMDSettings(window_end=15.0, horizon=10.0)
 
+    @pytest.mark.parametrize("name", ["a,b", 'say "x"', "line\nbreak", "cr\r"],
+                             ids=["comma", "quote", "newline", "carriage-return"])
+    def test_output_name_with_csv_syntax_rejected(self, name):
+        # analysis CSVs write output names unquoted
+        with pytest.raises(ConfigError, match="output name with"):
+            CampaignConfig(ffd_path="f.json", mesh_path="m.obj", n_samples=1,
+                           objective=ridge_objective(), outputs=("resistance", name))
+
     def test_sample_count_rejected(self, workspace):
         _, ffd_path, mesh_path = workspace
         with pytest.raises(ConfigError):
@@ -210,6 +218,19 @@ class TestRunCampaign:
         records = run_campaign(config, threads=1)
         assert calls == [2]
         assert "sample 2: unreadable record" in caplog.text
+        assert [r.to_doc() for r in records] == [r.to_doc() for r in first]
+
+    def test_resume_recomputes_record_with_null_mu(self, workspace, monkeypatch, caplog):
+        config = self.config(workspace, n_samples=3)
+        first = run_campaign(config, threads=1)
+        record_file = camp.Path(config.output_dir) / "samples" / "001" / "record.json"
+        doc = json.loads(record_file.read_text())
+        doc["mu"] = None
+        record_file.write_text(json.dumps(doc))
+        calls = self.counting_run_sample(monkeypatch)
+        records = run_campaign(config, threads=1)
+        assert calls == [1]
+        assert "sample 1: unreadable record" in caplog.text
         assert [r.to_doc() for r in records] == [r.to_doc() for r in first]
 
     def test_resume_refuses_records_of_another_seed(self, workspace):

@@ -75,6 +75,42 @@ class TestExitProtocol:
         proc = run_cli("dmd", "fit", "--frobnicate")
         assert proc.returncode == 2
 
+    def test_unwritable_output_is_io_error(self, tmp_path, ffd_doc):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        proc = run_cli("ffd", "sample", "--lattice", str(ffd_doc), "--n", "3",
+                       "--seed", "1", "--out", str(blocker / "x.csv"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: io_error:")
+
+    def test_flag_the_command_ignores_is_usage_error(self, tmp_path):
+        proc = run_cli("dmd", "predict", "--model", str(tmp_path / "m.json"),
+                       "--t", "1", "--seed", "1")
+        assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, file_name, text, message", [
+        (("campaign", "analyze", "--run-dir", "{dir}"), "manifest.json", "{}",
+         "KeyError: 'records'"),
+        (("campaign", "analyze", "--run-dir", "{dir}"), "manifest.json",
+         '{"bounds": [[0, 1]], "records": [{"index": 0, "status": "ok"}]}',
+         "KeyError: 'mu'"),
+        (("dmd", "predict", "--model", "{file}", "--t", "1"), "model.json", "[]",
+         "expected a JSON object"),
+        (("rigidbody", "simulate", "--config", "{file}", "--t-end", "1", "--dt", "0.1",
+          "--out", "{dir}/traj.csv"), "body.json", "[]", "expected a JSON object"),
+        (("ffd", "sample", "--lattice", "{file}", "--n", "3", "--seed", "1",
+          "--out", "{dir}/mus.csv"), "ffd.json", "[]", "expected a JSON object"),
+    ], ids=["manifest-without-records", "record-without-mu", "model-array",
+            "body-array", "lattice-array"])
+    def test_malformed_document_is_config_error(self, tmp_path, argv, file_name, text,
+                                                message):
+        (tmp_path / file_name).write_text(text)
+        proc = run_cli(*(a.format(dir=tmp_path, file=tmp_path / file_name) for a in argv))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: config: {tmp_path / file_name}: "), proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_domain_error_reported_with_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,header\n")
