@@ -11,7 +11,6 @@ space.  Tables without bounds are taken to be already normalized.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -20,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .textio import write_csv
+from .textio import read_csv, write_csv
 
 __all__ = [
     "SampleTable", "ASDecomposition", "ResponseSurface",
@@ -157,11 +156,10 @@ def estimate_gradients(table: SampleTable, method: str = "local-linear",
         raise DomainError(f"local-linear gradients need at least m + 1 = {m + 1} samples")
     k = n_neighbors if n_neighbors is not None else max(m + 2, int(np.ceil(n / 10)))
     k = min(max(k, m + 1), n)
-    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
     _, half = table._center_half()
     grads = np.empty((n, m))
-    for i in range(n):
-        nbr = np.argsort(d2[i], kind="stable")[:k]
+    for i in range(n):  # one row of squared distances at a time: O(N m) memory
+        nbr = np.argsort(((x - x[i]) ** 2).sum(axis=1), kind="stable")[:k]
         a = np.column_stack([np.ones(k), x[nbr] - x[i]])
         coef, _, rank, _ = np.linalg.lstsq(a, table.outputs[nbr], rcond=None)
         if rank < m + 1:
@@ -534,21 +532,11 @@ def save_sample_table(table: SampleTable, path) -> None:
 
 
 def load_sample_table(path, bounds=None) -> SampleTable:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty sample table")
-        header = [h.strip() for h in header]
-        mu_cols = [i for i, h in enumerate(header) if h.startswith("mu_")]
-        g_cols = [i for i, h in enumerate(header) if h.startswith("g_")]
-        if "f" not in header or not mu_cols:
-            raise ConfigError(f"{path}: expected columns mu_1..mu_m and f")
-        f_col = header.index("f")
-        rows = [r for r in reader if r]
-    inputs = np.array([[float(r[i]) for i in mu_cols] for r in rows])
-    outputs = np.array([float(r[f_col]) for r in rows])
-    gradients = None
-    if g_cols:
-        gradients = np.array([[float(r[i]) for i in g_cols] for r in rows])
-    return SampleTable(inputs, outputs, gradients, bounds)
+    header, data = read_csv(path)
+    mu_cols = [i for i, h in enumerate(header) if h.startswith("mu_")]
+    g_cols = [i for i, h in enumerate(header) if h.startswith("g_")]
+    if "f" not in header or not mu_cols or not len(data) or data.shape[1] != len(header):
+        raise ConfigError(f"{path}: expected header mu_1..mu_m,f and data rows as wide")
+    inputs, outputs, gradients = (np.ascontiguousarray(data[:, cols])  # layout sets rounding
+                                  for cols in (mu_cols, header.index("f"), g_cols))
+    return SampleTable(inputs, outputs, gradients if g_cols else None, bounds)

@@ -211,8 +211,12 @@ def cmd_campaign_run(args) -> int:
 
 def cmd_campaign_analyze(args) -> int:
     records, bounds, config_doc = camp.load_run_records(args.run_dir)
-    settings = camp.AnalysisSettings(**config_doc.get("analysis", {}))
-    outputs = tuple(config_doc.get("outputs", ("resistance", "trim")))
+    try:
+        settings = camp.AnalysisSettings(**config_doc.get("analysis", {}))
+        outputs = tuple(config_doc.get("outputs", ("resistance", "trim")))
+    except (AttributeError, TypeError) as exc:
+        raise ConfigError(f"{Path(args.run_dir) / 'manifest.json'}: bad config "
+                          f"({type(exc).__name__}: {exc})") from exc
     report = camp.analyze_campaign(records, bounds, settings, outputs=outputs,
                                    out_dir=Path(args.run_dir) / "analysis")
     _print_outputs(report)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .textio import FLOAT, read_json, write_csv, write_json
+from .textio import FLOAT, read_csv, read_json, write_csv, write_json
 
 __all__ = [
     "SnapshotSet", "DMDModel", "build_shift_pair", "fit",
@@ -219,14 +219,11 @@ def save_snapshots_csv(snapshots: SnapshotSet, path) -> None:
 
 
 def load_snapshots_csv(path) -> SnapshotSet:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        try:
-            t0_s, dt_s = header.split(",")
-            t0, dt = float(t0_s), float(dt_s)
-        except ValueError:
-            raise ConfigError(f"{path}: expected 't0,dt' header line, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    header, data = read_csv(path)
+    try:
+        t0, dt = map(float, header)
+    except ValueError:
+        raise ConfigError(f"{path}: expected 't0,dt' header line, got {','.join(header)!r}")
     return SnapshotSet(data, t0=t0, dt=dt)
 
 

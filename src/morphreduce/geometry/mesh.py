@@ -9,14 +9,13 @@ cache, so topology facts (closedness) are computed once per connectivity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import MeshFormatError, ToolkitError
-from ..textio import FLOAT, write_csv, write_text
+from ..textio import FLOAT, read_csv, write_csv, write_text
 
 _XYZ = f"{FLOAT} {FLOAT} {FLOAT}\n"
 _OBJ_VERTEX = "v " + _XYZ
@@ -277,19 +276,15 @@ def load_scalar_field(mesh: TriMesh, path, name: str) -> TriMesh:
     Expected layout: header ``vertex_index,value``, indices 0-based, one row
     per vertex.
     """
+    header, data = read_csv(path)
+    if header[:2] != ["vertex_index", "value"] or data.shape[1] != len(header):
+        raise ToolkitError(f"{path}: expected header 'vertex_index,value' and rows as wide")
+    bad = ~np.isin(data[:, 0], np.arange(mesh.num_vertices))
+    if bad.any():
+        raise ToolkitError(f"{path}: vertex index {data[bad, 0][0]:g} is not in "
+                           f"0..{mesh.num_vertices - 1}")
     values = np.full(mesh.num_vertices, np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["vertex_index", "value"]:
-            raise ToolkitError(f"{path}: expected header 'vertex_index,value'")
-        for row in reader:
-            if not row:
-                continue
-            i = int(row[0])
-            if not 0 <= i < mesh.num_vertices:
-                raise ToolkitError(f"{path}: vertex index {i} out of range")
-            values[i] = float(row[1])
+    values[data[:, 0].astype(np.intp)] = data[:, 1]
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
         raise ToolkitError(f"{path}: {missing} vertices have no field value")

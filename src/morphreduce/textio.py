@@ -2,14 +2,15 @@
 
 Doubles are written as ``%.17g``, which parses back bit-identically.  CSV is
 ``,``-separated and ``\\n``-terminated, with an optional header line and no
-quoting.  JSON has indent 1, sorted keys and a trailing newline.  Files are
-written atomically: the text goes to a sibling ``.tmp`` that then replaces
-the target.
+quoting; read_csv is the one CSV reader.  JSON has indent 1, sorted keys and a
+trailing newline.  Files are written atomically: the text goes to a sibling
+``.tmp`` that then replaces the target, and a failed write leaves no ``.tmp``.
 """
 
 import json
 import os
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
 
@@ -25,9 +26,16 @@ def write_text(path, text) -> None:
     """Write a str, or an iterable of str pieces, to path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None:  # name the target, not tmp
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc  # same subclass
+        raise
 
 
 def csv_lines(rows, header=None):
@@ -48,6 +56,24 @@ def csv_lines(rows, header=None):
 
 def write_csv(path, rows, header=None) -> None:
     write_text(path, csv_lines(rows, header))
+
+
+def read_csv(path):
+    """Return the header cells and the rows below them as a (rows, width) float array.
+
+    LF or CRLF line ends, blank lines, and spaces or ``"`` quotes around cells
+    are accepted.  A ragged row or a cell that is not a number raises ConfigError.
+    """
+    try:
+        with open(path) as fh:
+            line = next((ln for ln in fh if not ln.isspace()), "")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ConfigError(f"{path}: {exc}") from None
+    header = [cell.strip().strip('"') for cell in line.split(",")]
+    return header, data if len(data) else np.empty((0, len(header)))
 
 
 def write_json(path, doc) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,35 @@ class TestGradientEstimation:
     def test_too_few_samples(self):
         with pytest.raises(DomainError):
             estimate_gradients(SampleTable(np.zeros((2, 4)), np.zeros(2)))
+
+    def test_row_distances_match_full_matrix_bitwise(self):
+        # duplicated rows tie in the stable argsort, so the neighbour order is tested too
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-0.5, 0.5, (40, 3))
+        x = np.vstack([x, x[:15], x[:5]])
+        table = SampleTable(x, np.sin(x @ [1.0, -2.0, 0.5]) + x[:, 0] ** 2,
+                            bounds=box_bounds(3, 0.5))
+        got = estimate_gradients(table, n_neighbors=12).gradients
+        xn = table.normalized_inputs()
+        d2 = ((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=2)  # full N x N matrix
+        ref = np.empty_like(got)
+        for i in range(len(xn)):
+            nbr = np.argsort(d2[i], kind="stable")[:12]
+            a = np.column_stack([np.ones(12), xn[nbr] - xn[i]])
+            ref[i] = np.linalg.lstsq(a, table.outputs[nbr], rcond=None)[0][1:] / 0.5
+        assert got.tobytes() == ref.tobytes()
+
+    def test_memory_is_not_quadratic_in_samples(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1, 1, (1500, 8))
+        table = SampleTable(x, x @ rng.standard_normal(8), bounds=box_bounds(8))
+        tracemalloc.start()
+        try:
+            estimate_gradients(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # one 1500 x 1500 float matrix alone takes 18 MB
 
 
 class TestCovariance:

@@ -82,6 +82,7 @@ class TestExitProtocol:
                        "--seed", "1", "--out", str(blocker / "x.csv"))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: io_error:")
+        assert proc.stderr.rstrip().endswith(f"'{blocker / 'x.csv'}'")  # not its .tmp
 
     def test_flag_the_command_ignores_is_usage_error(self, tmp_path):
         proc = run_cli("dmd", "predict", "--model", str(tmp_path / "m.json"),
@@ -100,8 +101,29 @@ class TestExitProtocol:
           "--out", "{dir}/traj.csv"), "body.json", "[]", "expected a JSON object"),
         (("ffd", "sample", "--lattice", "{file}", "--n", "3", "--seed", "1",
           "--out", "{dir}/mus.csv"), "ffd.json", "[]", "expected a JSON object"),
+        (("campaign", "analyze", "--run-dir", "{dir}"), "manifest.json",
+         '{"bounds": [[0, 1]], "records": [], "config": {"analysis": {"bogus": 1}}}',
+         "TypeError"),
+        (("campaign", "analyze", "--run-dir", "{dir}"), "manifest.json",
+         '{"bounds": [[0, 1]], "records": [], "config": []}', "AttributeError"),
+        # numpy words CSV errors differently across versions: only path and code are matched
+        (("as", "analyze", "--in", "{file}", "--out", "{dir}/as.json"), "table.csv",
+         "mu_1,f\n0.5,1\n0.25,x\n", ""),
+        (("as", "analyze", "--in", "{file}", "--out", "{dir}/as.json"), "table.csv",
+         "mu_1,f\n0.5,1\n0.25\n", ""),
+        (("as", "analyze", "--in", "{file}", "--out", "{dir}/as.json"), "table.csv",
+         "mu_1,mu_2,f\n", "expected header"),
+        (("as", "analyze", "--in", "{file}", "--out", "{dir}/as.json"), "table.csv",
+         "mu_1,f\n0.5,1\n0.25,2 # a cell, not a comment\n0.75,3\n", ""),
+        (("dmd", "fit", "--in", "{file}", "--out", "{dir}/model.json"), "snaps.csv",
+         "0,0.5\n1,2,3\n4,5,x\n", ""),
+        (("dmd", "fit", "--in", "{file}", "--out", "{dir}/model.json"), "snaps.csv",
+         "0,0.5\n1,2,3\n4,5\n", ""),
     ], ids=["manifest-without-records", "record-without-mu", "model-array",
-            "body-array", "lattice-array"])
+            "body-array", "lattice-array", "manifest-analysis-unknown-key",
+            "manifest-config-array", "table-non-number", "table-short-row",
+            "table-header-only", "table-hash-cell", "snapshots-non-number",
+            "snapshots-short-row"])
     def test_malformed_document_is_config_error(self, tmp_path, argv, file_name, text,
                                                 message):
         (tmp_path / file_name).write_text(text)

@@ -166,6 +166,14 @@ class TestScalarFields:
         back = load_scalar_field(unit_cube(), path, "pressure")
         assert np.array_equal(back.scalar_fields["pressure"], values)
 
+    @pytest.mark.parametrize("index", ["1.5", "-1", "8", "nan"])
+    def test_index_must_be_a_vertex_number(self, tmp_path, index):
+        path = tmp_path / "pressure.csv"
+        path.write_text("vertex_index,value\n" + "".join(f"{i},0\n" for i in range(7))
+                        + f"{index},0\n")
+        with pytest.raises(ToolkitError, match="vertex index"):
+            load_scalar_field(unit_cube(), path, "pressure")
+
     def test_missing_field_errors(self):
         with pytest.raises(ToolkitError, match="no scalar field"):
             integrate_pressure_force(unit_cube(), "pressure")

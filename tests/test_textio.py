@@ -32,29 +32,48 @@ def assert_bit_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def write_sample_table(path):
+def as_written(path):
+    """Leave the file as its writer wrote it."""
+
+
+def as_spreadsheet(path):
+    """Rewrite a CSV with CRLF ends, blank lines, quoted cells and spaces around cells."""
+    header, first, second, *rows = path.read_text().splitlines()
+
+    def quoted(line):
+        return ",".join(f'"{cell}"' for cell in line.split(","))
+
+    lines = ["", quoted(header), "", first.replace(",", " , "), quoted(second), "", *rows, ""]
+    path.write_bytes("\r\n".join(lines).encode())
+
+
+def write_sample_table(path, rewrite=as_written):
     data = edge_matrix(12, 7)
     asub.save_sample_table(asub.SampleTable(data[:, :3], data[:, 3], data[:, 4:]), path)
+    rewrite(path)
     back = asub.load_sample_table(path)
     return data, np.column_stack([back.inputs, back.outputs, back.gradients])
 
 
-def write_trajectory(path):
+def write_trajectory(path, rewrite=as_written):
     data = edge_matrix(2 * textio._BLOCK_ROWS + 77, 14, seed=1)  # three row blocks
     rigidbody.save_trajectory_csv(path, data[:, 0], data[:, 1:])
-    return data, np.loadtxt(path, delimiter=",", skiprows=1)
+    rewrite(path)
+    return data, textio.read_csv(path)[1]
 
 
-def write_scalar_field(path):
+def write_scalar_field(path, rewrite=as_written):
     mesh = icosphere(3)  # 642 vertices: integer and float columns over three row blocks
     values = edge_matrix(mesh.num_vertices, 1, seed=2)[:, 0]
     save_scalar_field(mesh.with_scalar_field("p", values), "p", path)
+    rewrite(path)
     return values, load_scalar_field(mesh, path, "p").scalar_fields["p"]
 
 
-def write_snapshots(path):
+def write_snapshots(path, rewrite=as_written):
     data = edge_matrix(5, 11, seed=3)
     dmd.save_snapshots_csv(dmd.SnapshotSet(data, t0=-0.0, dt=5e-324), path)
+    rewrite(path)
     back = dmd.load_snapshots_csv(path)
     return np.concatenate([[-0.0, 5e-324], data.ravel()]), \
         np.concatenate([[back.t0, back.dt], back.data.ravel()])
@@ -63,9 +82,12 @@ def write_snapshots(path):
 WRITERS = [write_sample_table, write_trajectory, write_scalar_field, write_snapshots]
 
 
-@pytest.mark.parametrize("writer", WRITERS, ids=lambda w: w.__name__)
-def test_csv_writer_round_trips_bit_exactly(tmp_path, writer):
-    written, back = writer(tmp_path / "table.csv")
+@pytest.mark.parametrize("writer, rewrite", [
+    *(pytest.param(w, as_written, id=w.__name__) for w in WRITERS),
+    *(pytest.param(w, as_spreadsheet, id=f"{w.__name__}-crlf-blank-quoted") for w in WRITERS),
+])
+def test_csv_writer_round_trips_bit_exactly(tmp_path, writer, rewrite):
+    written, back = writer(tmp_path / "table.csv", rewrite)
     assert_bit_equal(back, written)
 
 
@@ -102,6 +124,10 @@ def test_write_text_replaces_file_and_leaves_no_temporary(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old contents that are longer\n")
     write_text(target, "new\n")
+    assert target.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with pytest.raises(TypeError):  # the second row does not fill the column template
+        textio.write_csv(target, [[1.0, 2.0], [3.0]])
     assert target.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
