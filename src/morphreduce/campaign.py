@@ -77,9 +77,30 @@ class AnalysisSettings:
     explicit_dim: int | None = None
     n_replicates: int = 10
 
+    RULES = ("largest-gap", "explicit", "threshold")
+
     def __post_init__(self):
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError("train split fraction must lie in (0, 1)")
+        _require_int("degree", self.degree, 1, 6)  # the range fit_response_surface accepts
+        for name in ("n_boot", "seed", "split_seed"):
+            _require_int(name, getattr(self, name), 0)
+        _require_int("n_replicates", self.n_replicates, 1)
+        if self.explicit_dim is not None:
+            _require_int("explicit_dim", self.explicit_dim, 1)
+        if self.rule not in self.RULES:
+            raise ConfigError(f"analysis rule must be one of {', '.join(self.RULES)}, "
+                              f"got {self.rule!r}")
+        if (isinstance(self.split_fraction, bool)
+                or not isinstance(self.split_fraction, (int, float, np.floating))
+                or not 0.0 < self.split_fraction < 1.0):
+            raise ConfigError("analysis split_fraction must lie in (0, 1), "
+                              f"got {self.split_fraction!r}")
+
+
+def _require_int(name: str, value, low: int, high: int | None = None) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"analysis {name} must be an int {span}, got {value!r}")
 
 
 @dataclass
@@ -251,7 +272,12 @@ def _channel_offsets(config: CampaignConfig, scalars: dict) -> np.ndarray:
 
 def extract_steady_state(model: dmd.DMDModel, horizon_t: float, window_t: float,
                          channels=None) -> np.ndarray:
-    """Mean of the reconstructed states over [horizon - window, horizon]."""
+    """Mean of the reconstructed states over [horizon - window, horizon].
+
+    The mean is taken in mode space, Re(Theta (b * mean_k Lambda^k)), over
+    the forecast steps k_lo..k_hi inside the window: the r x (k_hi - k_lo + 1)
+    eigenvalue powers are averaged, and no n-row forecast is formed.
+    """
     if window_t <= 0:
         raise DomainError("steady-state window must be positive")
     k_lo = int(np.ceil((horizon_t - window_t - model.t0) / model.dt - 1e-9))
@@ -259,8 +285,9 @@ def extract_steady_state(model: dmd.DMDModel, horizon_t: float, window_t: float,
     k_lo = max(k_lo, 0)
     if k_hi < k_lo:
         raise DomainError("steady-state window contains no forecast samples")
-    series = dmd.reconstruct_series(model, k_hi)[:, k_lo:]
-    mean = series.mean(axis=1)
+    steps = np.arange(k_lo, k_hi + 1, dtype=float)
+    mean_power = (model.eigenvalues[:, None] ** steps[None, :]).mean(axis=1)
+    mean = (model.modes @ (model.amplitudes * mean_power)).real
     return mean if channels is None else mean[np.asarray(channels, dtype=int)]
 
 

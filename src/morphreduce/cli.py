@@ -214,7 +214,7 @@ def cmd_campaign_analyze(args) -> int:
     try:
         settings = camp.AnalysisSettings(**config_doc.get("analysis", {}))
         outputs = tuple(config_doc.get("outputs", ("resistance", "trim")))
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{Path(args.run_dir) / 'manifest.json'}: bad config "
                           f"({type(exc).__name__}: {exc})") from exc
     report = camp.analyze_campaign(records, bounds, settings, outputs=outputs,

@@ -9,6 +9,12 @@ discrete-time eigenvalues and amplitudes used for reconstruction and
 forecasting:
 
     x_{k+1} ~ Theta Lambda^k b,      b = Theta^+ x_1.
+
+Amplitudes fitted to the whole series solve the stacked Vandermonde
+problem min_b sum_k ||Theta Lambda^k b - x_{k+1}|| (Jovanovic, Schmid &
+Nichols 2014) in the r-dimensional mode space: with Theta = Q R, each term
+equals ||R Lambda^k b - Q* x_{k+1}|| plus a part independent of b, so no
+(n*l x r) stack is ever formed.
 """
 
 from __future__ import annotations
@@ -115,7 +121,10 @@ def fit(snapshots: SnapshotSet, rank=None, mode_kind: str = "exact",
     mode_kind "exact" computes eigenvectors of the full operator as
     S' V_r Sigma_r^{-1} W; "projected" lifts the low-rank eigenvectors as
     U_r W.  amplitudes_from "x1" solves Theta b = x_1 (the first snapshot);
-    "series" solves the least-squares problem over all training snapshots.
+    "series" solves the least-squares problem over all training snapshots,
+    reduced through Theta = Q R to the (l*r x r) system R Lambda^k b = Q* x_k.
+    That is the same problem with the same conditioning; beyond the SVD of
+    the snapshots it needs O(n*r + l*r^2) memory.
     """
     if mode_kind not in ("exact", "projected"):
         raise ConfigError(f"mode_kind must be 'exact' or 'projected', got {mode_kind!r}")
@@ -148,11 +157,13 @@ def fit(snapshots: SnapshotSet, rank=None, mode_kind: str = "exact",
     if amplitudes_from == "x1":
         b = np.linalg.lstsq(modes, x1.astype(complex), rcond=None)[0]
     elif amplitudes_from == "series":
-        # vandermonde system over the whole training window
+        # vandermonde system over the whole training window, projected on range(Q)
+        q, r_fac = np.linalg.qr(modes)
+        data = snapshots.data
+        rhs = q.real.T @ data - 1j * (q.imag.T @ data)  # Q* X without a complex copy of X
         powers = lam[None, :] ** np.arange(snapshots.l)[:, None]
-        lhs = np.vstack([modes * powers[k][None, :] for k in range(snapshots.l)])
-        rhs = snapshots.data.T.reshape(-1).astype(complex)
-        b = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        lhs = (r_fac[None, :, :] * powers[:, None, :]).reshape(-1, r)
+        b = np.linalg.lstsq(lhs, rhs.T.reshape(-1), rcond=None)[0]
     else:
         raise ConfigError(f"amplitudes_from must be 'x1' or 'series', got {amplitudes_from!r}")
 

@@ -273,8 +273,8 @@ def _write_stl_ascii(mesh: TriMesh, path) -> None:
 def load_scalar_field(mesh: TriMesh, path, name: str) -> TriMesh:
     """Attach a per-vertex scalar field from a sidecar CSV.
 
-    Expected layout: header ``vertex_index,value``, indices 0-based, one row
-    per vertex.
+    Expected layout: header ``vertex_index,value``, indices 0-based, exactly
+    one row per vertex.
     """
     header, data = read_csv(path)
     if header[:2] != ["vertex_index", "value"] or data.shape[1] != len(header):
@@ -283,8 +283,13 @@ def load_scalar_field(mesh: TriMesh, path, name: str) -> TriMesh:
     if bad.any():
         raise ToolkitError(f"{path}: vertex index {data[bad, 0][0]:g} is not in "
                            f"0..{mesh.num_vertices - 1}")
+    index = data[:, 0].astype(np.intp)
+    first = np.zeros(len(index), dtype=bool)
+    first[np.unique(index, return_index=True)[1]] = True
+    if not first.all():
+        raise ToolkitError(f"{path}: vertex index {index[~first][0]} appears more than once")
     values = np.full(mesh.num_vertices, np.nan)
-    values[data[:, 0].astype(np.intp)] = data[:, 1]
+    values[index] = data[:, 1]
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
         raise ToolkitError(f"{path}: {missing} vertices have no field value")

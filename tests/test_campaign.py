@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from morphreduce.campaign import (AnalysisSettings, CampaignConfig, DMDSettings,
                                   SampleRecord, analyze_campaign, extract_steady_state,
                                   load_campaign_config, load_run_records, run_campaign,
                                   trim_proxy)
-from morphreduce.dmd import SnapshotSet, fit
+from morphreduce.dmd import SnapshotSet, fit, reconstruct_series
 from morphreduce.errors import ConfigError, DomainError
 from morphreduce.ffd import BindingEntry, FFDLattice, ParameterBinding, save_ffd_json
 from morphreduce.geometry import icosphere, save_mesh
@@ -59,6 +60,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AnalysisSettings(split_fraction=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("degree", "x"), ("degree", 0), ("degree", 7), ("degree", 2.0), ("degree", True),
+        ("n_boot", -1), ("n_boot", False), ("n_replicates", 0), ("seed", -1),
+        ("split_seed", "1"), ("rule", "biggest-gap"), ("rule", None),
+        ("explicit_dim", 0), ("explicit_dim", 1.5), ("split_fraction", True),
+        ("split_fraction", "0.5"), ("split_fraction", float("nan")),
+    ])
+    def test_every_analysis_field_validated(self, field, value):
+        with pytest.raises(ConfigError, match=f"analysis {field} "):
+            AnalysisSettings(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 1), ("degree", 6), ("degree", np.int64(3)), ("n_boot", 0),
+        ("n_replicates", 1), ("rule", "explicit"), ("rule", "threshold"),
+        ("explicit_dim", 2), ("split_fraction", 0.5),
+    ])
+    def test_analysis_field_limits_accepted(self, field, value):
+        assert getattr(AnalysisSettings(**{field: value}), field) == value
+
     def test_horizon_before_window_rejected(self):
         with pytest.raises(ConfigError):
             DMDSettings(window_end=15.0, horizon=10.0)
@@ -106,6 +126,40 @@ class TestSteadyState:
         model = fit(generate_timeseries(spec, 7.0, 0.1, 20))
         with pytest.raises(DomainError):
             extract_steady_state(model, 5.0, 1.0)
+
+    @staticmethod
+    def transient_model(n, seed=3):
+        rng = np.random.default_rng(seed)
+        offset = rng.uniform(-1.5, 1.5, n)
+        modes = [TimeSeriesMode(g, f, a, profile_seed=int(rng.integers(2**31)),
+                                profile=offset * rng.uniform(0.6, 1.4, n))
+                 for g, f, a in ((-0.35, 2.1, 0.25), (-0.6, 0.7, 0.1), (-0.45, 1.3, 0.15))]
+        spec = TimeSeriesSpec(modes=modes, dimension=n, offset=offset)
+        return fit(generate_timeseries(spec, 7.0, 0.1, 81), rank="full")
+
+    @pytest.mark.parametrize("horizon, window, k_lo, k_hi, channels", [
+        (30.0, 5.0, 180, 230, None),     # the demo window
+        (10.0, 5.0, 0, 30, None),        # starts before t0: clamped at k_lo = 0
+        (30.0, 0.05, 230, 230, None),    # narrower than dt: one column
+        (22.5, 1.0, 145, 155, [5, 0, 17, 5]),
+    ], ids=["demo", "clamped", "one-column", "channels"])
+    def test_matches_reconstructed_window_mean(self, horizon, window, k_lo, k_hi, channels):
+        model = self.transient_model(24)
+        expected = reconstruct_series(model, k_hi)[:, k_lo:].mean(axis=1)
+        if channels is not None:
+            expected = expected[channels]
+        steady = extract_steady_state(model, horizon, window, channels=channels)
+        assert np.abs(steady - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_memory_is_mode_sized(self):
+        model = self.transient_model(5000)
+        tracemalloc.start()
+        try:
+            extract_steady_state(model, 30.0, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the (n x 231) complex forecast alone is 18 MB
 
 
 class TestRunCampaign:

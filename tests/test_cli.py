@@ -133,6 +133,25 @@ class TestExitProtocol:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("analysis, message", [
+        ({"degree": "x"}, "analysis degree must be an int in [1, 6], got 'x'"),
+        ({"degree": True}, "analysis degree must be an int in [1, 6], got True"),
+        ({"n_boot": -1}, "analysis n_boot must be an int >= 0, got -1"),
+        ({"rule": "biggest-gap"}, "analysis rule must be one of"),
+        ({"split_fraction": 1.5}, "analysis split_fraction must lie in (0, 1), got 1.5"),
+    ], ids=["degree-string", "degree-bool", "n-boot-negative", "rule-unknown",
+            "split-fraction-above-one"])
+    def test_bad_analysis_setting_names_manifest(self, tmp_path, analysis, message):
+        # no records: an analysis that started would fail with a domain error instead
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"bounds": [[0, 1]], "records": [],
+                                        "config": {"analysis": analysis}}))
+        proc = run_cli("campaign", "analyze", "--run-dir", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: config: {manifest}: bad config "
+                                      "(ConfigError: "), proc.stderr
+        assert message in proc.stderr
+
     def test_domain_error_reported_with_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,header\n")

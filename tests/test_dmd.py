@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from morphreduce.dmd import (SnapshotSet, build_shift_pair, fit, imaginary_resid
                              reconstruct_series, save_model_json, save_snapshots_bin,
                              save_snapshots_csv, training_error)
 from morphreduce.errors import ConfigError, DomainError
+from morphreduce.surrogate import TimeSeriesMode, TimeSeriesSpec, generate_timeseries
 
 
 def rotation_series(theta=0.1, l=20, x1=(1.0, 0.3)):
@@ -241,6 +244,64 @@ class TestOperatorProperties:
         snaps, _ = rotation_series(l=15)
         model = fit(snaps, amplitudes_from="series")
         assert training_error(model, snaps) < 1e-8
+
+
+def stacked_series_amplitudes(model, snapshots):
+    """The series amplitudes from the full (n*l x r) Vandermonde stack."""
+    powers = model.eigenvalues[None, :] ** np.arange(snapshots.l)[:, None]
+    lhs = np.vstack([model.modes * powers[k][None, :] for k in range(snapshots.l)])
+    rhs = snapshots.data.T.reshape(-1).astype(complex)
+    return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+
+
+def conjugate_pair_series(rng, n_pairs, n, l):
+    """Real linear system with complex-conjugate eigenvalue pairs, observed in R^n."""
+    blocks = np.zeros((2 * n_pairs, 2 * n_pairs))
+    for j in range(n_pairs):
+        radius, angle = rng.uniform(0.75, 1.0), rng.uniform(0.1, 1.5)
+        c, s = radius * np.cos(angle), radius * np.sin(angle)
+        blocks[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, -s], [s, c]]
+    basis = rng.standard_normal((2 * n_pairs, 2 * n_pairs))
+    a = basis @ blocks @ np.linalg.inv(basis)
+    latent = linear_system_series(a, rng.standard_normal(2 * n_pairs), l).data
+    return SnapshotSet(rng.standard_normal((n, 2 * n_pairs)) @ latent, t0=7.0, dt=0.1)
+
+
+def transient_series(n, l, seed=0):
+    """Offset plus three damped oscillations over n channels (a relaxing flow)."""
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(0.5, 1.5, n)
+    modes = [TimeSeriesMode(g, f, a, profile_seed=int(rng.integers(2**31)),
+                            profile=offset * rng.uniform(0.6, 1.4, n))
+             for g, f, a in ((-0.35, 2.1, 0.25), (-0.6, 0.7, 0.1), (-0.45, 1.3, 0.15))]
+    spec = TimeSeriesSpec(modes=modes, dimension=n, offset=offset)
+    return generate_timeseries(spec, 0.0, 0.1, l)
+
+
+class TestSeriesAmplitudes:
+    @pytest.mark.parametrize("mode_kind", ["exact", "projected"])
+    @pytest.mark.parametrize("rank", ["full", 4])
+    def test_match_stacked_vandermonde_reference(self, rank, mode_kind):
+        rng = np.random.default_rng(21)
+        for trial in range(8):
+            snaps = conjugate_pair_series(rng, n_pairs=3, n=int(rng.integers(8, 40)),
+                                          l=int(rng.integers(10, 40)))
+            model = fit(snaps, rank=rank, mode_kind=mode_kind, amplitudes_from="series")
+            assert model.rank == (6 if rank == "full" else rank)
+            assert np.sum(np.abs(model.eigenvalues.imag) > 1e-8) >= 2
+            expected = stacked_series_amplitudes(model, snaps)
+            err = np.linalg.norm(model.amplitudes - expected) / np.linalg.norm(expected)
+            assert err <= 1e-12
+
+    def test_memory_is_not_stacked(self):
+        snaps = transient_series(5000, 81)
+        tracemalloc.start()
+        try:
+            fit(snaps, amplitudes_from="series")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * snaps.data.nbytes  # the (n*l x r) complex stack alone is 45 MB
 
 
 class TestPersistence:

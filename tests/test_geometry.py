@@ -1,3 +1,4 @@
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -173,6 +174,14 @@ class TestScalarFields:
                         + f"{index},0\n")
         with pytest.raises(ToolkitError, match="vertex index"):
             load_scalar_field(unit_cube(), path, "pressure")
+
+    def test_repeated_index_rejected(self, tmp_path):
+        path = tmp_path / "pressure.csv"
+        path.write_text("vertex_index,value\n" + "".join(f"{i},1\n" for i in range(12))
+                        + "0,99\n3,99\n")
+        with pytest.raises(ToolkitError, match=re.escape(f"{path}: vertex index 0 appears "
+                                                         "more than once")):
+            load_scalar_field(icosphere(0), path, "pressure")
 
     def test_missing_field_errors(self):
         with pytest.raises(ToolkitError, match="no scalar field"):
