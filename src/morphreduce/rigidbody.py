@@ -2,18 +2,30 @@
 
 Quaternions are plain length-4 arrays [s, vx, vy, vz] (scalar part first).
 The state couples translation driven by gravity plus an external force with
-attitude driven by the angular momentum balance written in the global frame,
+attitude driven by the angular momentum balance,
 
     m x_G'' = m g + F(t),
     (R I R^T) w' + w x (R I R^T) w = M(t),
     q' = 0.5 * [0, w] q,
 
-integrated by one explicit RK4 step at a time with the quaternion projected
-back to unit norm after each step.
+with w the global angular velocity, I the body-frame inertia and R the
+body-to-global rotation of q.  The balance is solved in the body frame,
+
+    w' = R I^-1 (R^T M - w_b x I w_b),    w_b = R^T w,
+
+which is the same equation without a 3x3 solve or the product R I R^T.  One
+explicit RK4 step at a time works on the packed state as plain floats; the
+quaternion is projected back to unit norm after each step.
+
+A force model is called as forces(t, state) four times per step, at t,
+t + dt/2, t + dt/2 and t + dt.  Its state carries the stage's normalised
+quaternion and is built without RigidBodyState's validation, because the
+integrator made the quaternion unit itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,35 +144,79 @@ def constant_forces(force, moment):
     return model
 
 
-def _derivative(t, y, props: BodyProperties, forces):
-    q = y[9:13]
-    qn = q / np.linalg.norm(q)
-    state = RigidBodyState(y[0:3], y[3:6], y[6:9], qn)
-    f_ext, m_ext = forces(t, state)
-    r = quat_to_rotation(qn)
-    j_world = r @ props.inertia @ r.T
-    omega = y[6:9]
-    omega_dot = np.linalg.solve(j_world, np.asarray(m_ext, dtype=float)
-                                - np.cross(omega, j_world @ omega))
-    dy = np.empty(13)
-    dy[0:3] = y[3:6]
-    dy[3:6] = props.gravity + np.asarray(f_ext, dtype=float) / props.mass
-    dy[6:9] = omega_dot
-    dy[9:13] = quat_derivative(q, omega)
-    return dy
+def _unchecked_state(y, q) -> RigidBodyState:
+    """The RigidBodyState of a stage, built without __post_init__."""
+    state = object.__new__(RigidBodyState)
+    v = np.array(y[0:9])
+    state.position, state.velocity, state.angular_velocity = v[0:3], v[3:6], v[6:9]
+    state.quaternion = np.array(q)
+    return state
+
+
+def _rk4(y, t, dt, props: BodyProperties, forces):
+    """One RK4 step of the packed 13-state y, a list of floats; returns the next one."""
+    mass = props.mass
+    gx, gy, gz = props.gravity.tolist()
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = props.inertia.tolist()
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = np.linalg.inv(props.inertia).tolist()
+
+    def rate(t, y):
+        v0, v1, v2, w0, w1, w2, qs, qx, qy, qz = y[3:13]
+        n = math.sqrt(qs * qs + qx * qx + qy * qy + qz * qz)
+        s, a, b, c = qs / n, qx / n, qy / n, qz / n
+        f_ext, m_ext = forces(t, _unchecked_state(y, (s, a, b, c)))
+        f0, f1, f2 = np.asarray(f_ext, dtype=float).tolist()
+        m0, m1, m2 = np.asarray(m_ext, dtype=float).tolist()
+        r00, r01, r02 = 1 - 2 * (b * b + c * c), 2 * (a * b - s * c), 2 * (a * c + s * b)
+        r10, r11, r12 = 2 * (a * b + s * c), 1 - 2 * (a * a + c * c), 2 * (b * c - s * a)
+        r20, r21, r22 = 2 * (a * c - s * b), 2 * (b * c + s * a), 1 - 2 * (a * a + b * b)
+        # body-frame angular velocity p = R^T w and angular momentum h = I p
+        p0 = r00 * w0 + r10 * w1 + r20 * w2
+        p1 = r01 * w0 + r11 * w1 + r21 * w2
+        p2 = r02 * w0 + r12 * w1 + r22 * w2
+        h0 = i00 * p0 + i01 * p1 + i02 * p2
+        h1 = i10 * p0 + i11 * p1 + i12 * p2
+        h2 = i20 * p0 + i21 * p1 + i22 * p2
+        # e = R^T M - p x h, the body-frame angular acceleration is I^-1 e
+        e0 = r00 * m0 + r10 * m1 + r20 * m2 - (p1 * h2 - p2 * h1)
+        e1 = r01 * m0 + r11 * m1 + r21 * m2 - (p2 * h0 - p0 * h2)
+        e2 = r02 * m0 + r12 * m1 + r22 * m2 - (p0 * h1 - p1 * h0)
+        d0 = j00 * e0 + j01 * e1 + j02 * e2
+        d1 = j10 * e0 + j11 * e1 + j12 * e2
+        d2 = j20 * e0 + j21 * e1 + j22 * e2
+        return [v0, v1, v2, gx + f0 / mass, gy + f1 / mass, gz + f2 / mass,
+                r00 * d0 + r01 * d1 + r02 * d2,
+                r10 * d0 + r11 * d1 + r12 * d2,
+                r20 * d0 + r21 * d1 + r22 * d2,
+                # 0.5 * [0, w] q on the un-normalised q, as quat_derivative
+                -0.5 * (w0 * qx + w1 * qy + w2 * qz),
+                0.5 * (qs * w0 + (w1 * qz - w2 * qy)),
+                0.5 * (qs * w1 + (w2 * qx - w0 * qz)),
+                0.5 * (qs * w2 + (w0 * qy - w1 * qx))]
+
+    h = 0.5 * dt
+    k1 = rate(t, y)
+    k2 = rate(t + h, [u + h * k for u, k in zip(y, k1)])
+    k3 = rate(t + h, [u + h * k for u, k in zip(y, k2)])
+    k4 = rate(t + dt, [u + dt * k for u, k in zip(y, k3)])
+    sixth = dt / 6.0
+    return [u + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def _check_times(dt, *times):
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"time step must be finite and positive, got {dt}")
+    for t in times:
+        if not math.isfinite(t):
+            raise DomainError(f"time must be finite, got {t}")
 
 
 def step(state: RigidBodyState, props: BodyProperties, forces, t: float,
          dt: float, renormalize: bool = True) -> RigidBodyState:
     """One explicit RK4 step of length dt starting at time t."""
-    if not dt > 0.0:
-        raise DomainError(f"time step must be positive, got {dt}")
-    y = state.as_vector()
-    k1 = _derivative(t, y, props, forces)
-    k2 = _derivative(t + 0.5 * dt, y + 0.5 * dt * k1, props, forces)
-    k3 = _derivative(t + 0.5 * dt, y + 0.5 * dt * k2, props, forces)
-    k4 = _derivative(t + dt, y + dt * k3, props, forces)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    _check_times(dt, t)
+    y = _rk4(state.as_vector().tolist(), t, dt, props, forces)
     q = y[9:13]
     if renormalize:
         q = quat_normalize(q)
@@ -174,6 +230,7 @@ def simulate(state: RigidBodyState, props: BodyProperties, forces,
     Returns (times, states) with states of shape (K + 1, 13), rows packing
     position, velocity, angular velocity and quaternion.
     """
+    _check_times(dt, t0, t_end)
     if t_end <= t0:
         raise DomainError("t_end must exceed t0")
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-12))
@@ -181,8 +238,8 @@ def simulate(state: RigidBodyState, props: BodyProperties, forces,
     out = np.empty((n_steps + 1, 13))
     out[0] = state.as_vector()
     current = state
-    for k in range(n_steps):
-        current = step(current, props, forces, times[k], dt)
+    for k, t in enumerate(times[:-1].tolist()):
+        current = step(current, props, forces, t, dt)
         out[k + 1] = current.as_vector()
     return times, out
 

@@ -86,6 +86,7 @@ def read_json(path):
 
     A file that does not decode to an object, and a KeyError, IndexError,
     TypeError or ValueError raised in the block, raise ConfigError("<path>: ...").
+    A ConfigError raised in the block is raised again as ConfigError("<path>: <message>").
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -95,5 +96,7 @@ def read_json(path):
         raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
         yield doc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad document ({type(exc).__name__}: {exc})") from exc

@@ -151,6 +151,7 @@ class TestExitProtocol:
         assert proc.stderr.startswith(f"error: config: {manifest}: bad config "
                                       "(ConfigError: "), proc.stderr
         assert message in proc.stderr
+        assert proc.stderr.count(str(manifest)) == 1
 
     def test_domain_error_reported_with_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -302,6 +303,20 @@ class TestRigidBodyCommand:
         z_final = float(rows[-1].split(",")[3])
         assert abs(z_final - (-0.5 * 9.81)) < 1e-10
 
+    @pytest.mark.parametrize("t_end, dt", [
+        ("1", "0"), ("1", "-0.1"), ("1", "nan"), ("1", "inf"), ("nan", "0.1"),
+        ("inf", "0.1")])
+    def test_bad_time_is_domain_error(self, tmp_path, t_end, dt):
+        cfg = tmp_path / "body.json"
+        cfg.write_text(json.dumps({"mass": 1.0, "inertia": np.eye(3).tolist()}))
+        out = tmp_path / "traj.csv"
+        proc = run_cli("rigidbody", "simulate", "--config", str(cfg),
+                       f"--t-end={t_end}", f"--dt={dt}", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: domain:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestCampaignCommands:
     def test_run_and_analyze(self, tmp_path, ffd_doc):
@@ -334,3 +349,18 @@ class TestCampaignCommands:
         proc = run_cli("campaign", "run", "--config", str(cfg))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: config:")
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("analysis", {"degree": "x"}, "analysis degree must be an int in [1, 6], got 'x'"),
+        ("dmd", {"window_start": 15.0, "window_end": 7.0},
+         "DMD window end must exceed its start"),
+    ], ids=["analysis-degree", "dmd-window"])
+    def test_bad_setting_names_config_file(self, tmp_path, section, value, message):
+        from importlib.resources import files
+        doc = json.loads((files("morphreduce") / "data" / "demo_campaign.json").read_text())
+        doc[section] = value
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli("campaign", "run", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: config: {cfg}: {message}\n"

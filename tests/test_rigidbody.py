@@ -18,6 +18,46 @@ def random_unit_quaternion(rng):
     return q / np.linalg.norm(q)
 
 
+def rotated_inertia(rng):
+    """Q diag(1, 2, 3) Q^T for a random rotation Q: SPD with off-diagonal terms."""
+    r = quat_to_rotation(random_unit_quaternion(rng))
+    inertia = r @ np.diag([1.0, 2.0, 3.0]) @ r.T
+    return 0.5 * (inertia + inertia.T)
+
+
+def reference_derivative(t, y, props, forces):
+    """The global-frame rate: solve (R I R^T) w' = M - w x (R I R^T) w."""
+    q = y[9:13]
+    qn = q / np.linalg.norm(q)
+    f_ext, m_ext = forces(t, RigidBodyState(y[0:3], y[3:6], y[6:9], qn))
+    r = quat_to_rotation(qn)
+    j_world = r @ props.inertia @ r.T
+    omega = y[6:9]
+    dy = np.empty(13)
+    dy[0:3] = y[3:6]
+    dy[3:6] = props.gravity + np.asarray(f_ext, dtype=float) / props.mass
+    dy[6:9] = np.linalg.solve(j_world, np.asarray(m_ext, dtype=float)
+                              - np.cross(omega, j_world @ omega))
+    dy[9:13] = quat_derivative(q, omega)
+    return dy
+
+
+def reference_step(state, props, forces, t, dt):
+    """Classical RK4 on reference_derivative, quaternion renormalised after."""
+    y = state.as_vector()
+    k1 = reference_derivative(t, y, props, forces)
+    k2 = reference_derivative(t + 0.5 * dt, y + 0.5 * dt * k1, props, forces)
+    k3 = reference_derivative(t + 0.5 * dt, y + 0.5 * dt * k2, props, forces)
+    k4 = reference_derivative(t + dt, y + dt * k3, props, forces)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.concatenate([y[0:9], quat_normalize(y[9:13])])
+
+
+def world_momentum(state, props):
+    r = quat_to_rotation(state.quaternion)
+    return r @ props.inertia @ r.T @ state.angular_velocity
+
+
 def rotate_by_conjugation(q, x):
     """Oracle: rotate x through q [0, x] q^-1 using only the product formula."""
     q_inv = np.array([q[0], -q[1], -q[2], -q[3]]) / (quat_norm(q) ** 2)
@@ -180,6 +220,57 @@ class TestStep:
         with pytest.raises(DomainError):
             step(state, self.free_props(), no_forces, 0.0, 0.0)
 
+    @pytest.mark.parametrize("t, dt", [(0.0, -0.1), (0.0, np.nan), (0.0, np.inf),
+                                       (np.nan, 0.1), (np.inf, 0.1)])
+    def test_non_finite_or_negative_time_rejected(self, t, dt):
+        state = RigidBodyState(np.zeros(3), np.zeros(3), np.zeros(3), IDENTITY_Q)
+        with pytest.raises(DomainError):
+            step(state, self.free_props(), no_forces, t, dt)
+
+    def test_matches_global_frame_reference(self):
+        rng = np.random.default_rng(6)
+        props = BodyProperties(mass=1.7, inertia=rotated_inertia(rng),
+                               gravity=[0.3, -0.2, -9.81])
+        forces = constant_forces([0.4, -1.1, 2.0], [0.7, 0.25, -0.6])
+        for _ in range(20):
+            state = RigidBodyState(rng.standard_normal(3), rng.standard_normal(3),
+                                   rng.standard_normal(3), random_unit_quaternion(rng))
+            t, dt = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 5e-2)
+            got = step(state, props, forces, t, dt).as_vector()
+            want = reference_step(state, props, forces, t, dt)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_constant_moment_changes_momentum_linearly(self):
+        # dL/dt = M for the world angular momentum L = R I R^T w
+        rng = np.random.default_rng(7)
+        props = self.free_props(inertia=rotated_inertia(rng))
+        moment = np.array([0.3, -0.5, 0.2])
+        forces = constant_forces(np.zeros(3), moment)
+        state = RigidBodyState(np.zeros(3), np.zeros(3), [0.4, -0.3, 1.0],
+                               random_unit_quaternion(rng))
+        momentum0 = world_momentum(state, props)
+        for k in range(2000):
+            state = step(state, props, forces, k * 1e-3, 1e-3)
+        want = momentum0 + moment * 2.0
+        got = world_momentum(state, props)
+        assert np.abs(got - want).max() < 1e-6 * np.linalg.norm(want)
+
+    def test_forces_called_at_stage_times_with_unit_quaternion(self):
+        calls = []
+
+        def recording(t, state):
+            calls.append((t, state.quaternion.copy()))
+            return np.zeros(3), np.array([0.2, -0.1, 0.3])
+
+        props = self.free_props(inertia=np.diag([1.0, 2.0, 3.0]))
+        state = RigidBodyState(np.zeros(3), np.zeros(3), [2.0, -3.0, 5.0],
+                               random_unit_quaternion(np.random.default_rng(8)))
+        t, dt = 0.3, 0.05
+        step(state, props, recording, t, dt)
+        assert [c[0] for c in calls] == [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+        for _, q in calls:
+            assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+
 
 class TestSimulate:
     def test_trajectory_shape_and_csv(self, tmp_path):
@@ -199,3 +290,23 @@ class TestSimulate:
         state = RigidBodyState(np.zeros(3), np.zeros(3), np.zeros(3), IDENTITY_Q)
         with pytest.raises(DomainError):
             simulate(state, props, no_forces, 1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("t0, t_end, dt", [
+        (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+        (0.0, np.nan, 0.1), (0.0, np.inf, 0.1), (np.nan, 1.0, 0.1), (-np.inf, 1.0, 0.1)])
+    def test_non_finite_or_non_positive_time_rejected(self, t0, t_end, dt):
+        props = BodyProperties(mass=1.0, inertia=np.eye(3))
+        state = RigidBodyState(np.zeros(3), np.zeros(3), np.zeros(3), IDENTITY_Q)
+        with pytest.raises(DomainError):
+            simulate(state, props, no_forces, t0, t_end, dt)
+
+    def test_rows_are_steps(self):
+        props = BodyProperties(mass=1.3, inertia=np.diag([1.0, 2.0, 3.0]))
+        state = RigidBodyState([0.0, 1.0, 2.0], [0.5, 0.0, -1.0], [0.3, 1.0, -0.2],
+                               random_unit_quaternion(np.random.default_rng(9)))
+        forces = constant_forces([0.1, 0.2, 0.3], [0.05, -0.02, 0.01])
+        times, states = simulate(state, props, forces, 0.25, 0.75, 0.01)
+        current = state
+        for k in range(len(times) - 1):
+            current = step(current, props, forces, times[k], 0.01)
+            np.testing.assert_array_equal(states[k + 1], current.as_vector())
