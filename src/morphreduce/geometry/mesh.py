@@ -4,7 +4,10 @@ Vertices are stored as an (V, 3) float64 array and triangles as a (T, 3)
 integer index array.  Meshes are immutable after construction: the arrays
 are locked read-only, and field attachment returns a new mesh.  Meshes
 derived with with_vertices or with_scalar_field share one connectivity
-cache, so topology facts (closedness) are computed once per connectivity.
+cache.  It holds what depends on the triangles alone, computed once per
+connectivity: topology facts (closedness) and the OBJ face block.  It also
+holds the OBJ vertex lines of the first mesh written, so that writing a
+deformed copy formats only the vertices that moved.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class TriMesh:
     triangles: np.ndarray
     scalar_fields: dict = field(default_factory=dict)
     vector_fields: dict = field(default_factory=dict)
-    # topology facts of `triangles`, filled lazily and shared with derived meshes
+    # filled lazily and shared with derived meshes: topology facts and OBJ face
+    # text of `triangles`, and reference OBJ vertex lines (see _obj_vertex_lines)
     _connectivity: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 
@@ -80,8 +84,7 @@ class TriMesh:
 
     def corner_coordinates(self):
         """Vertex coordinates of every triangle, as three (T, 3) arrays."""
-        v, t = self.vertices, self.triangles
-        return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        return tuple(np.take(self.vertices, self.triangles.T, axis=0))
 
     def with_scalar_field(self, name: str, values) -> "TriMesh":
         fields = dict(self.scalar_fields)
@@ -211,11 +214,42 @@ def _parse_obj(text: str, origin: str) -> TriMesh:
                    np.array([idx for _, idx in triangles], dtype=np.int64).reshape(-1, 3))
 
 
+def _obj_rows(template: str, rows: np.ndarray) -> str:
+    # one format operation per block: per-value formatting dominates otherwise
+    return (template * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _obj_vertex_lines(mesh: TriMesh) -> list:
+    """The `v` lines of mesh, formatting only rows that differ from the reference.
+
+    The reference is the first vertex array written with this connectivity,
+    paired with its lines.  It is a copy, because a mesh's vertices may be a
+    view of an array its caller can still write.  Rows are compared bitwise,
+    since 0.0 == -0.0 but the two print differently.  The stored pair is set
+    in one assignment and its list is never mutated, so concurrent writers
+    only ever read a consistent pair.
+    """
+    v = mesh.vertices
+    reference = mesh._connectivity.get("obj_vertex_lines")
+    if reference is None or len(reference[0]) != len(v):
+        lines = _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)
+        if reference is None:
+            mesh._connectivity["obj_vertex_lines"] = (_as_locked(v.copy()), lines)
+        return lines
+    ref_v, ref_lines = reference
+    moved = np.flatnonzero((v.view(np.int64) != ref_v.view(np.int64)).any(axis=1))
+    lines = list(ref_lines)
+    for i, line in zip(moved.tolist(),
+                       _obj_rows(_OBJ_VERTEX, v[moved]).splitlines(keepends=True)):
+        lines[i] = line
+    return lines
+
+
 def _write_obj(mesh: TriMesh, path) -> None:
-    # one format operation per record kind: per-value formatting dominates otherwise
-    write_text(path, (
-        (_OBJ_VERTEX * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist()),
-        (_OBJ_FACE * mesh.num_triangles) % tuple((mesh.triangles + 1).ravel().tolist())))
+    faces = mesh._connectivity.get("obj_faces")
+    if faces is None:
+        faces = mesh._connectivity["obj_faces"] = _obj_rows(_OBJ_FACE, mesh.triangles + 1)
+    write_text(path, ("".join(_obj_vertex_lines(mesh)), faces))
 
 
 def _parse_stl_ascii(text: str, origin: str) -> TriMesh:

@@ -26,6 +26,7 @@ integrator made the quaternion unit itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +234,12 @@ def simulate(state: RigidBodyState, props: BodyProperties, forces,
     _check_times(dt, t0, t_end)
     if t_end <= t0:
         raise DomainError("t_end must exceed t0")
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-12))
+    steps = (t_end - t0) / dt
+    # the (n_steps + 1, 13) float64 trajectory must be indexable; inf fails too
+    if not steps < sys.maxsize // 104 - 1:
+        raise DomainError(f"({t_end} - {t0}) / {dt} = {steps:g} steps are too many "
+                          "to store")
+    n_steps = int(np.ceil(steps - 1e-12))
     times = t0 + dt * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, 13))
     out[0] = state.as_vector()

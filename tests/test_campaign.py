@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from morphreduce.campaign import (AnalysisSettings, CampaignConfig, DMDSettings,
 from morphreduce.dmd import SnapshotSet, fit, reconstruct_series
 from morphreduce.errors import ConfigError, DomainError
 from morphreduce.ffd import BindingEntry, FFDLattice, ParameterBinding, save_ffd_json
-from morphreduce.geometry import icosphere, save_mesh
+import morphreduce.geometry.mesh as mesh_module
+from morphreduce.geometry import demo_hull, icosphere, save_mesh
 from morphreduce.surrogate import ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec, generate_timeseries
 
 
@@ -232,6 +234,34 @@ class TestRunCampaign:
         run_campaign(cfg_b, threads=1)
         assert (tmp_path / "a" / "manifest.json").read_bytes() == \
             (tmp_path / "b" / "manifest.json").read_bytes()
+        for i in range(cfg_a.n_samples):
+            mesh_a = tmp_path / "a" / "samples" / f"{i:03d}" / "mesh.obj"
+            assert mesh_a.read_bytes() == \
+                (tmp_path / "b" / "samples" / f"{i:03d}" / "mesh.obj").read_bytes()
+
+    def test_later_samples_format_only_moved_vertex_rows(self, tmp_path, monkeypatch):
+        base = demo_hull()
+        save_mesh(base, tmp_path / "hull.obj")
+        formatted = []
+        original = mesh_module._obj_rows
+
+        def counting(template, rows):
+            formatted.append((template, len(rows)))
+            return original(template, rows)
+
+        monkeypatch.setattr(mesh_module, "_obj_rows", counting)
+        config = CampaignConfig(
+            ffd_path=str(files("morphreduce") / "data" / "demo_ffd.json"),
+            mesh_path=str(tmp_path / "hull.obj"), n_samples=2, seed=1,
+            objective=ObjectiveSpec("volume-drag-proxy"),
+            output_dir=str(tmp_path / "run"), time_resolved=False)
+        records = run_campaign(config, threads=1)
+        assert [r.status for r in records] == ["ok", "ok"]
+        faces, first, second = formatted
+        assert faces == (mesh_module._OBJ_FACE, base.num_triangles)
+        assert first == (mesh_module._OBJ_VERTEX, base.num_vertices)
+        assert second[0] == mesh_module._OBJ_VERTEX
+        assert 0 < second[1] < base.num_vertices / 2
 
     def test_resume_skips_completed(self, workspace, monkeypatch):
         config = self.config(workspace, n_samples=3)

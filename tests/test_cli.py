@@ -305,7 +305,7 @@ class TestRigidBodyCommand:
 
     @pytest.mark.parametrize("t_end, dt", [
         ("1", "0"), ("1", "-0.1"), ("1", "nan"), ("1", "inf"), ("nan", "0.1"),
-        ("inf", "0.1")])
+        ("inf", "0.1"), ("1e300", "1e-10"), ("1e19", "1")])
     def test_bad_time_is_domain_error(self, tmp_path, t_end, dt):
         cfg = tmp_path / "body.json"
         cfg.write_text(json.dumps({"mass": 1.0, "inertia": np.eye(3).tolist()}))

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 from importlib.resources import files
 
 import numpy as np
@@ -73,6 +75,72 @@ class TestObjWriter:
             mesh = TriMesh(v, t)
             save_mesh(mesh, path)
             assert path.read_bytes() == per_vertex_obj_text(mesh).encode()
+
+    def test_derived_meshes_match_per_vertex_writer(self, tmp_path):
+        rng = np.random.default_rng(51)
+        base_v = extreme_values(rng, 3 * 40).reshape(-1, 3)
+        base_v[10] = [0.0, 1.0, -0.0]
+        first = base_v.copy()
+        first[0:5] = extreme_values(rng, 15).reshape(-1, 3)
+        second = base_v.copy()
+        second[3:9] = extreme_values(rng, 18).reshape(-1, 3)
+        second[10] = [-0.0, 1.0, 0.0]  # equal to base_v under ==, printed differently
+        third = first.copy()
+        third[20] += 1.0
+        grown = np.vstack([second, extreme_values(rng, 15).reshape(-1, 3)])
+        base = TriMesh(base_v, rng.integers(0, len(base_v), (60, 3)))
+        path = tmp_path / "m.obj"
+        # the base itself comes last, after every derived mesh
+        for v in (first, second, first, third, grown, second, base_v):
+            mesh = base.with_vertices(v)
+            save_mesh(mesh, path)
+            assert path.read_bytes() == per_vertex_obj_text(mesh).encode()
+            back = load_mesh(path, validate=False)
+            assert np.array_equal(back.vertices.view(np.int64), mesh.vertices.view(np.int64))
+            assert np.array_equal(back.triangles, mesh.triangles)
+
+    def test_reference_survives_caller_writing_its_array(self, tmp_path):
+        v = np.array(icosphere(1).vertices)
+        mesh = TriMesh(v, icosphere(1).triangles)
+        path = tmp_path / "m.obj"
+        save_mesh(mesh, path)
+        v[0] = [-0.0, 2.0, 3.0]  # mesh.vertices is a view of v
+        moved = mesh.with_vertices(v)
+        save_mesh(moved, path)
+        assert path.read_bytes() == per_vertex_obj_text(moved).encode()
+        assert path.read_text().startswith("v -0 2 3\n")
+
+    def test_concurrent_writers_match_per_vertex_writer(self, tmp_path):
+        base = icosphere(2)
+        rng = np.random.default_rng(53)
+        meshes = []
+        for k in range(16):
+            v = np.array(base.vertices)
+            rows = rng.choice(len(v), 20, replace=False)
+            v[rows] += rng.standard_normal((20, 3)) * 10.0 ** -k
+            meshes.append(base.with_vertices(v))
+        errors = []
+
+        def writer(w):
+            for k in range(w, len(meshes) * 4, 8):
+                mesh = meshes[k % len(meshes)]
+                path = tmp_path / f"{w}.obj"
+                save_mesh(mesh, path)
+                if path.read_bytes() != per_vertex_obj_text(mesh).encode():
+                    errors.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     def test_demo_hull_reproduces_shipped_file(self, tmp_path):
         path = tmp_path / "hull.obj"
