@@ -2,17 +2,27 @@
 
 Vertices are stored as an (V, 3) float64 array and triangles as a (T, 3)
 integer index array.  Meshes are immutable after construction: the arrays
-are locked read-only, and field attachment returns a new mesh.  Meshes
-derived with with_vertices or with_scalar_field share one connectivity
-cache.  It holds what depends on the triangles alone, computed once per
-connectivity: topology facts (closedness) and the OBJ face block.  It also
-holds the OBJ vertex lines of the first mesh written, so that writing a
-deformed copy formats only the vertices that moved.
+are locked read-only (an array the caller can still write, directly or
+through a view, is copied first), and field attachment returns a new mesh.
+Meshes derived with with_vertices or with_scalar_field share one
+connectivity cache.  It holds what depends on the triangles alone, computed
+once per connectivity: topology facts (closedness) and the OBJ face block.
+It also holds the OBJ vertex lines of the first mesh written, so that
+writing a deformed copy formats only the vertices that moved.
+
+OBJ files that hold only `v x y z` lines followed by only `f i j k` lines,
+as save_mesh writes them, are parsed in bulk: one whitespace split of the
+whole text and one float or int conversion pass, with the same converters
+the line parser uses, so the arrays are bitwise the same.  Every other file
+(comments, blank lines, other records, `/` references, quads, interleaved
+records, bad numbers, out-of-range indices) goes to the line parser, which
+is the only source of MeshFormatError messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +37,23 @@ _STL_FACET = ("  facet normal " + _XYZ + "    outer loop\n" + ("      vertex " +
               + "    endloop\n  endfacet\n")
 
 
-def _as_locked(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+def _as_locked(a, dtype, shape) -> np.ndarray:
+    """a as a read-only C-contiguous array that no caller can write through.
+
+    An array the caller passed in is copied if it, or any array it is a view
+    of, is writable; a locked one, such as the triangles with_vertices passes
+    on, is kept.  The result's base is locked too, so that a mesh's own
+    arrays pass through here again without a copy.
+    """
+    arr = base = np.asarray(a, dtype=dtype)
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    arr = np.ascontiguousarray(arr.reshape(shape))
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass
@@ -51,28 +74,24 @@ class TriMesh:
                                 compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        v = self.vertices = _as_locked(self.vertices, float, (-1, 3))
+        t = self.triangles = _as_locked(self.triangles, np.int64, (-1, 3))
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshFormatError(
                 f"triangle index out of range: indices must lie in [0, {len(v)})"
             )
-        self.vertices = _as_locked(v)
-        self.triangles = _as_locked(t)
         for name, f in list(self.scalar_fields.items()):
-            f = np.asarray(f, dtype=float).reshape(-1)
+            f = self.scalar_fields[name] = _as_locked(f, float, -1)
             if len(f) != len(v):
                 raise ToolkitError(
                     f"scalar field {name!r} has {len(f)} values for {len(v)} vertices"
                 )
-            self.scalar_fields[name] = _as_locked(f)
         for name, f in list(self.vector_fields.items()):
-            f = np.asarray(f, dtype=float).reshape(-1, 3)
+            f = self.vector_fields[name] = _as_locked(f, float, (-1, 3))
             if len(f) != len(v):
                 raise ToolkitError(
                     f"vector field {name!r} has {len(f)} values for {len(v)} vertices"
                 )
-            self.vector_fields[name] = _as_locked(f)
 
     @property
     def num_vertices(self) -> int:
@@ -88,7 +107,7 @@ class TriMesh:
 
     def with_scalar_field(self, name: str, values) -> "TriMesh":
         fields = dict(self.scalar_fields)
-        fields[name] = np.asarray(values, dtype=float)
+        fields[name] = values
         return self._same_connectivity(self.vertices, fields, dict(self.vector_fields))
 
     def with_vertices(self, vertices) -> "TriMesh":
@@ -137,7 +156,11 @@ def load_mesh(path, fmt: str | None = None, validate: bool = True) -> TriMesh:
     report of the offending triangle indices.
     """
     fmt = _infer_format(path, fmt)
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not a text OBJ / ASCII STL file "
+                              f"(undecodable byte at offset {exc.start})") from None
     if fmt == "obj":
         mesh = _parse_obj(text, str(path))
     else:
@@ -167,6 +190,44 @@ def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
 
 
 def _parse_obj(text: str, origin: str) -> TriMesh:
+    mesh = _parse_plain_obj(text)
+    return mesh if mesh is not None else _parse_obj_lines(text, origin)
+
+
+def _parse_plain_obj(text: str) -> TriMesh | None:
+    """Bulk parse of `v x y z` lines followed by `f i j k` lines, else None.
+
+    Each line starts with a one-letter tag token.  If the n lines hold 4n
+    tokens but some line holds other than 4, another line's tag lands in a
+    number's slot, where neither "v" nor "f" converts, so the conversion
+    fails for any file the line parser would read differently.
+    """
+    lines = text.splitlines()
+    n = len(lines)
+    if not all(map(str.startswith, lines, repeat(("v ", "f ")))):
+        return None
+    del lines  # never hold the line and token lists at once
+    tokens = text.split()
+    if len(tokens) != 4 * n:
+        return None
+    tags = tokens[::4]
+    nv = tags.count("v")
+    if not nv or tags != ["v"] * nv + ["f"] * (n - nv):
+        return None
+    del tags, tokens[::4]
+    try:
+        v = np.fromiter(map(float, islice(tokens, 3 * nv)), float, 3 * nv)
+        t = np.fromiter(map(int, islice(tokens, 3 * nv, None)), np.int64, 3 * (n - nv))
+    except (ValueError, OverflowError):
+        return None
+    if t.size and (t.min() < 1 or t.max() > nv):
+        return None
+    t -= 1
+    v.flags.writeable = t.flags.writeable = False  # no caller holds them: no copy
+    return TriMesh(v.reshape(-1, 3), t.reshape(-1, 3))
+
+
+def _parse_obj_lines(text: str, origin: str) -> TriMesh:
     vertices = []
     triangles = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -223,8 +284,7 @@ def _obj_vertex_lines(mesh: TriMesh) -> list:
     """The `v` lines of mesh, formatting only rows that differ from the reference.
 
     The reference is the first vertex array written with this connectivity,
-    paired with its lines.  It is a copy, because a mesh's vertices may be a
-    view of an array its caller can still write.  Rows are compared bitwise,
+    paired with its lines.  Rows are compared bitwise,
     since 0.0 == -0.0 but the two print differently.  The stored pair is set
     in one assignment and its list is never mutated, so concurrent writers
     only ever read a consistent pair.
@@ -234,7 +294,7 @@ def _obj_vertex_lines(mesh: TriMesh) -> list:
     if reference is None or len(reference[0]) != len(v):
         lines = _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)
         if reference is None:
-            mesh._connectivity["obj_vertex_lines"] = (_as_locked(v.copy()), lines)
+            mesh._connectivity["obj_vertex_lines"] = (v, lines)
         return lines
     ref_v, ref_lines = reference
     moved = np.flatnonzero((v.view(np.int64) != ref_v.view(np.int64)).any(axis=1))

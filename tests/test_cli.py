@@ -216,6 +216,22 @@ class TestFfdCommands:
         assert not np.array_equal(moved.vertices, base.vertices)
         assert np.array_equal(moved.triangles, base.triangles)
 
+    @pytest.mark.parametrize("suffix", [".stl", ".obj"])
+    def test_deform_binary_mesh_is_mesh_format_error(self, tmp_path, ffd_doc, suffix):
+        part = tmp_path / f"part{suffix}"
+        # binary STL: 80-byte header, facet count, normal + 3 corners, attribute
+        part.write_bytes(b"solid part".ljust(80, b"\0") + (1).to_bytes(4, "little")
+                         + np.array([0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 1, 0], "<f4").tobytes()
+                         + bytes(2))
+        out = tmp_path / "o.obj"
+        proc = run_cli("ffd", "deform", "--lattice", str(ffd_doc), "--in", str(part),
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: mesh_format: {part}: not a text OBJ / ASCII STL file"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_sample_writes_table(self, tmp_path, ffd_doc):
         out = tmp_path / "samples.csv"
         proc = run_cli("ffd", "sample", "--lattice", str(ffd_doc), "--n", "10",

@@ -14,6 +14,7 @@ from morphreduce.geometry import (TriMesh, boundary_edge_count, demo_hull,
                                   save_scalar_field, surface_area, unit_cube,
                                   volume_centroid)
 from morphreduce.geometry import integrals
+from morphreduce.geometry import mesh as mesh_module
 
 CUBE_OBJ = """\
 # canonical unit cube
@@ -104,7 +105,7 @@ class TestObjWriter:
         mesh = TriMesh(v, icosphere(1).triangles)
         path = tmp_path / "m.obj"
         save_mesh(mesh, path)
-        v[0] = [-0.0, 2.0, 3.0]  # mesh.vertices is a view of v
+        v[0] = [-0.0, 2.0, 3.0]  # the caller rewrites its array; the mesh holds a copy
         moved = mesh.with_vertices(v)
         save_mesh(moved, path)
         assert path.read_bytes() == per_vertex_obj_text(moved).encode()
@@ -175,6 +176,28 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="bad.obj:2"):
             load_mesh(path)
 
+    def test_caller_arrays_do_not_alias_the_mesh(self):
+        v = np.zeros((3, 3))
+        t = np.array([[0, 1, 2]])
+        p = np.zeros(3)
+        mesh = TriMesh(v, t, {"p": p}, {"u": v})
+        v[0, 0] = 5.0
+        t[0, 0] = 1
+        p[0] = 5.0
+        assert mesh.vertices[0, 0] == 0.0
+        assert mesh.triangles[0, 0] == 0
+        assert mesh.scalar_fields["p"][0] == 0.0
+        assert mesh.vector_fields["u"][0, 0] == 0.0
+        moved = mesh.with_vertices(v).with_scalar_field("q", p)
+        p[1] = 5.0
+        assert moved.vertices[0, 0] == 5.0 and moved.scalar_fields["q"][1] == 0.0
+        assert np.shares_memory(moved.triangles, mesh.triangles)  # locked: not copied
+        view = v.view()
+        view.flags.writeable = False  # locked, but a view of an array the caller can write
+        from_view = mesh.with_vertices(view)
+        v[0, 0] = 7.0
+        assert from_view.vertices[0, 0] == 5.0
+
     def test_obj_round_trip_is_lossless(self, tmp_path):
         mesh = icosphere(2, radius=1.7, center=(0.3, -0.2, 0.9))
         path = tmp_path / "sphere.obj"
@@ -223,6 +246,77 @@ class TestMeshIO:
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         with pytest.raises(MeshFormatError, match="triangle"):
             load_mesh(path)
+
+
+TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+TEN_VERTICES = "".join(f"v {i} {i * i} {i % 3}\n" for i in range(10))
+
+# every layout, record and number the OBJ readers treat differently
+OBJ_CORPUS = {
+    "plain": TRIANGLE + "f 1 2 3\n",
+    "empty": "",
+    "crlf": (TRIANGLE + "f 1 2 3\n").replace("\n", "\r\n"),
+    "no trailing newline": TRIANGLE + "f 1 2 3",
+    "leading whitespace": " " + TRIANGLE + "  f 1 2 3\n",
+    "tab separators": "v\t0 0 0\nv 1\t0\t0\nv 0 1 0\nf\t1 2 3\n",
+    "comment and blank lines": "# hull\n" + TRIANGLE + "\nf 1 2 3\n",
+    "vn vt o records": "o hull\n" + TRIANGLE + "vn 0 0 1\nvt 0 0\nf 1 2 3\n",
+    "interleaved v and f": "v 1 1 1\nf 1 2 3\nv 2 2 2\nv 3 3 3\n",
+    "faces only": "f 1 2 3\n",
+    "vertex with 4 coordinates": "v 0 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "nan inf 1e400 -0": "v nan inf -inf\nv 1e400 -0 -nan\nv 0 1 -0.0\nf 1 2 3\n",
+    "bad coordinate": "v 0 0 0\nv zero 0 0\nv 0 1 0\nf 1 2 3\n",
+    "slash references": TRIANGLE + "f 1/1/1 2//2 3/3\n",
+    "quad": TRIANGLE + "v 1 1 0\nf 1 2 3 4\n",
+    "face with 2 corners": TRIANGLE + "f 1 2\n",
+    "face index 0": TRIANGLE + "f 0 1 2\n",
+    "face index -1": TRIANGLE + "f -1 1 2\n",
+    "face index out of range": TRIANGLE + "f 1 2 4\n",
+    "face index 2**70": TRIANGLE + f"f 1 2 {2 ** 70}\n",
+    "face index 1.0": TRIANGLE + "f 1.0 2 3\n",
+    "face index 1_0": TEN_VERTICES + "f 1_0 2 3\n",
+    "two records on a line, then short lines": "v 1 2 3 v 4 5 6\nv 7\nv 8\nf 1 2 3\n",
+    "two records on a line, then a blank line": "v 0 0 0 v 1 0 0\n\nv 0 1 0\nf 1 2 3\n",
+}
+
+
+def parse_outcome(parse):
+    """The arrays' bits, shapes and dtypes, or the MeshFormatError message."""
+    try:
+        mesh = parse()
+    except MeshFormatError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (mesh.vertices, mesh.triangles)]
+
+
+class TestObjBulkParse:
+    @pytest.mark.parametrize("text", OBJ_CORPUS.values(), ids=OBJ_CORPUS.keys())
+    def test_load_matches_line_parser(self, tmp_path, text):
+        path = tmp_path / "m.obj"
+        path.write_bytes(text.encode())
+        expected = parse_outcome(
+            lambda: mesh_module._parse_obj_lines(path.read_text(), str(path)))
+        assert parse_outcome(lambda: load_mesh(path, validate=False)) == expected
+
+    def test_written_files_take_the_bulk_path(self, tmp_path, monkeypatch):
+        calls = []
+        line_parser = mesh_module._parse_obj_lines
+
+        def counting(text, origin):
+            calls.append(origin)
+            return line_parser(text, origin)
+
+        monkeypatch.setattr(mesh_module, "_parse_obj_lines", counting)
+        written = tmp_path / "sphere.obj"
+        save_mesh(icosphere(2), written)
+        shipped = files("morphreduce") / "data" / "demo_hull.obj"
+        assert load_mesh(written).num_vertices == icosphere(2).num_vertices
+        assert load_mesh(str(shipped)).num_vertices == demo_hull().num_vertices
+        assert calls == []
+        commented = tmp_path / "cube.obj"
+        commented.write_text(CUBE_OBJ)
+        load_mesh(commented)
+        assert calls == [str(commented)]
 
 
 class TestScalarFields:
