@@ -60,6 +60,13 @@ class SampleTable:
             self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
             if len(self.bounds) != self.m:
                 raise DomainError("bounds must provide one interval per parameter")
+        for name in ("inputs", "outputs", "gradients", "bounds"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                row = int(np.argwhere(~np.isfinite(values))[0, 0])
+                raise DomainError(f"{name} must be finite, got NaN or inf in row {row} "
+                                  f"(counted from 0)")
+        if self.bounds is not None:
             if (self.bounds[:, 1] < self.bounds[:, 0]).any():
                 raise DomainError("bounds must satisfy lo <= hi")
             tol = 1e-9 * (self.bounds[:, 1] - self.bounds[:, 0]) + 1e-12
@@ -127,6 +134,9 @@ class ASDecomposition:
                               f"got {self.active_dim}")
 
 
+_BLOCK_ELEMENTS = 2 ** 17  # float64 differences per distance block: 1 MB
+
+
 def estimate_gradients(table: SampleTable, method: str = "local-linear",
                        evaluator=None, n_neighbors: int | None = None,
                        step: float = 1e-5) -> SampleTable:
@@ -134,8 +144,11 @@ def estimate_gradients(table: SampleTable, method: str = "local-linear",
 
     local-linear fits a least-squares hyperplane through the k nearest
     neighbors of each point (k defaults to max(m + 2, ceil(N / 10))) and
-    needs no extra evaluations.  finite-difference runs central differences
-    with the given evaluator callback f(mu) -> scalar.
+    needs no extra evaluations.  Neighbors are ranked by squared distance in
+    the normalized inputs, equal distances by the lower row index (the order
+    of a stable argsort), and distances are formed a block of rows at a time,
+    so memory stays O(N m).  finite-difference runs central differences with
+    the given evaluator callback f(mu) -> scalar.
     """
     if method == "finite-difference":
         if evaluator is None:
@@ -156,19 +169,45 @@ def estimate_gradients(table: SampleTable, method: str = "local-linear",
         raise DomainError(f"local-linear gradients need at least m + 1 = {m + 1} samples")
     k = n_neighbors if n_neighbors is not None else max(m + 2, int(np.ceil(n / 10)))
     k = min(max(k, m + 1), n)
-    _, half = table._center_half()
+    f = table.outputs
     grads = np.empty((n, m))
-    for i in range(n):  # one row of squared distances at a time: O(N m) memory
-        nbr = np.argsort(((x - x[i]) ** 2).sum(axis=1), kind="stable")[:k]
-        a = np.column_stack([np.ones(k), x[nbr] - x[i]])
-        coef, _, rank, _ = np.linalg.lstsq(a, table.outputs[nbr], rcond=None)
-        if rank < m + 1:
-            raise DomainError(
-                f"rank-deficient neighborhood around sample {i}; "
-                f"increase the sample count or neighbor count"
-            )
-        grads[i] = coef[1:] / half  # back to raw coordinates
+    a = np.ones((k, m + 1))  # design matrix [1, x_j - x_i]; its ones column stays
+    rows = max(1, _BLOCK_ELEMENTS // (n * m))
+    for start in range(0, n, rows):
+        diff = x[None, :, :] - x[start:start + rows, None, :]
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        for i, nbr in enumerate(_nearest(d2, k), start):
+            np.subtract(x[nbr], x[i], out=a[:, 1:])
+            coef, _, rank, _ = np.linalg.lstsq(a, f[nbr], rcond=None)
+            if rank < m + 1:
+                raise DomainError(
+                    f"rank-deficient neighborhood around sample {i}; "
+                    f"increase the sample count or neighbor count"
+                )
+            grads[i] = coef[1:]
+    grads /= table._center_half()[1]  # back to raw coordinates
     return table.with_gradients(grads)
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of d2, in order.
+
+    Equals np.argsort(d2, axis=1, kind="stable")[:, :k] (value, then lower
+    index) without sorting whole rows: argpartition picks k candidates,
+    which are ordered by index and then stably by value.  Only a row whose
+    k-th value ties with an entry left out is sorted in full.
+    """
+    if k == d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    sel.sort(axis=1)
+    ds = np.take_along_axis(d2, sel, axis=1)
+    nbr = np.take_along_axis(sel, np.argsort(ds, axis=1, kind="stable"), axis=1)
+    dk = ds.max(axis=1, keepdims=True)
+    cut = np.count_nonzero(d2 == dk, axis=1) > np.count_nonzero(ds == dk, axis=1)
+    for r in cut.nonzero()[0]:
+        nbr[r] = np.argsort(d2[r], kind="stable")[:k]
+    return nbr
 
 
 def estimate_covariance(table: SampleTable) -> np.ndarray:

@@ -24,8 +24,19 @@ from .textio import csv_lines, read_json, write_csv, write_json
 logger = logging.getLogger("morphreduce.cli")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of seeds and counts; AnalysisSettings applies the same rule."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _seed_flag(parser, text="seed for any randomness (a generated seed is printed if omitted)"):
-    parser.add_argument("--seed", type=int, default=None, help=text)
+    parser.add_argument("--seed", type=_non_negative_int, default=None, help=text)
 
 
 def _resolve_seed(args) -> int:
@@ -269,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = g_as.add_parser("analyze", help="analyze a sample table CSV")
     p.add_argument("--in", dest="infile", required=True,
                    help="CSV with columns mu_1..mu_m,f[,g_1..g_m]")
-    p.add_argument("--boot", type=int, default=100)
+    p.add_argument("--boot", type=_non_negative_int, default=100)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--split", type=float, default=0.75)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_non_negative_int, default=0)
     p.add_argument("--rule", default="largest-gap",
                    choices=["largest-gap", "explicit", "threshold"])
     p.add_argument("--dim", type=int, default=None,

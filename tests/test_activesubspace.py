@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from morphreduce.activesubspace import (ASDecomposition, SampleTable, analyze_table,
+from morphreduce.activesubspace import (_BLOCK_ELEMENTS, _nearest, ASDecomposition,
+                                        SampleTable, analyze_table,
                                         choose_active_dimension, decompose,
                                         estimate_covariance, estimate_gradients,
                                         evaluate_surface, fit_response_surface,
@@ -85,16 +86,85 @@ class TestGradientEstimation:
         assert got.tobytes() == ref.tobytes()
 
     def test_memory_is_not_quadratic_in_samples(self):
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-1, 1, (1500, 8))
-        table = SampleTable(x, x @ rng.standard_normal(8), bounds=box_bounds(8))
-        tracemalloc.start()
-        try:
-            estimate_gradients(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6  # one 1500 x 1500 float matrix alone takes 18 MB
+        assert gradient_peak_bytes(1500, 8, seed=5) < 8e6  # one 1500^2 matrix takes 18 MB
+
+    def test_memory_stays_linear_at_3000_samples(self):
+        assert gradient_peak_bytes(3000, 8, seed=6) < 8e6  # one 3000^2 matrix takes 72 MB
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("layout", ["uniform", "duplicated", "quarter-grid"])
+    @pytest.mark.parametrize("k_rule", ["m+1", "default", "N"])
+    def test_selection_matches_full_sort_reference(self, m, layout, k_rule):
+        # duplicated rows and grid inputs make distances tie across the k-th place
+        rng = np.random.default_rng([7, m, len(layout), len(k_rule)])
+        n = {1: 700, 3: 400, 8: 300}[m]
+        if layout == "quarter-grid":
+            x = rng.integers(-4, 5, (n, m)) / 8.0  # quarter steps once normalized
+        else:
+            x = rng.uniform(-0.5, 0.5, (n, m))
+        if layout == "duplicated":
+            x = np.vstack([x, x[n // 2:n // 2 + n // 5]])
+            n = len(x)
+        rows = max(1, _BLOCK_ELEMENTS // (n * m))
+        assert -(-n // rows) >= 3  # the distances span at least three row blocks
+        f = np.sin(x @ rng.standard_normal(m)) + x[:, 0] ** 2
+        table = SampleTable(x, f, bounds=box_bounds(m, 0.5))
+        k = {"m+1": m + 1, "default": max(m + 2, int(np.ceil(n / 10))), "N": n}[k_rule]
+        xn = table.normalized_inputs()
+        d2 = ((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=2)
+        if layout != "uniform" and k < n:
+            ordered = np.sort(d2, axis=1)
+            assert (ordered[:, k - 1] == ordered[:, k]).any()  # some cut is ambiguous
+        ref = np.empty_like(xn)
+        deficient = None
+        for i in range(n):
+            nbr = np.argsort(d2[i], kind="stable")[:k]
+            a = np.column_stack([np.ones(k), xn[nbr] - xn[i]])
+            coef, _, rank, _ = np.linalg.lstsq(a, f[nbr], rcond=None)
+            if rank < m + 1:
+                deficient = i
+                break
+            ref[i] = coef[1:] / 0.5
+        if deficient is not None:
+            with pytest.raises(DomainError, match=f"around sample {deficient};"):
+                estimate_gradients(table, n_neighbors=k)
+        else:
+            assert estimate_gradients(table, n_neighbors=k).gradients.tobytes() \
+                == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 29, 30])
+    def test_nearest_is_stable_argsort_prefix(self, k):
+        rng = np.random.default_rng(8)
+        d2 = rng.integers(0, 4, (60, 30)).astype(float)  # many ties per row
+        d2[:5] = 1.0  # rows of one value
+        d2[5, :] = np.inf
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_nearest(d2, k), expected)
+
+
+def gradient_peak_bytes(n, m, seed):
+    """tracemalloc peak of local-linear gradients on an (n, m) uniform table."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, m))
+    table = SampleTable(x, x @ rng.standard_normal(m), bounds=box_bounds(m))
+    tracemalloc.start()
+    try:
+        estimate_gradients(table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSampleTable:
+    @pytest.mark.parametrize("name", ["inputs", "outputs", "gradients", "bounds"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_domain_errors(self, name, bad):
+        parts = {"inputs": np.zeros((4, 2)), "outputs": np.zeros(4),
+                 "gradients": np.zeros((4, 2)), "bounds": box_bounds(2)}
+        parts[name].reshape(len(parts[name]), -1)[1, -1] = bad
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got NaN or inf "
+                                              r"in row 1 \(counted from 0\)$"):
+            SampleTable(**parts)
 
 
 class TestCovariance:

@@ -89,6 +89,24 @@ class TestExitProtocol:
                        "--t", "1", "--seed", "1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("ffd", "sample", "--lattice", "x.json", "--n", "3", "--seed", "-1"),
+        ("as", "analyze", "--in", "t.csv", "--seed", "-2"),
+        ("as", "analyze", "--in", "t.csv", "--split-seed", "-1"),
+        ("as", "analyze", "--in", "t.csv", "--boot", "-3"),
+        ("as", "analyze", "--in", "t.csv", "--boot", "2.5"),
+        ("campaign", "run", "--config", "demo", "--seed", "-1"),
+    ], ids=["sample-seed", "as-seed", "as-split-seed", "as-boot", "as-boot-float",
+            "campaign-seed"])
+    def test_negative_seed_or_count_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "out"
+        proc = run_cli(*argv, *(() if argv[0] == "campaign" else ("--out", str(out))))
+        assert proc.returncode == 2
+        assert f"error: argument {argv[-2]}: expected an integer >= 0, got '{argv[-1]}'" \
+            in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, file_name, text, message", [
         (("campaign", "analyze", "--run-dir", "{dir}"), "manifest.json", "{}",
          "KeyError: 'records'"),
@@ -299,6 +317,25 @@ class TestAsCommand:
             assert campaign_rows[0][0] == "output"
             assert [row[1:] for row in campaign_rows] == cli_rows
             assert len(cli_rows) > 1
+
+    @pytest.mark.parametrize("header, cell", [
+        ("mu_1,mu_2,f", "nan,0.5,1"), ("mu_1,mu_2,f", "0.25,0.5,inf"),
+        ("mu_1,mu_2,f", "0.25,0.5,nan"), ("mu_1,mu_2,f,g_1,g_2", "0.25,0.5,1,nan,0")],
+        ids=["nan-mu", "inf-f", "nan-f", "nan-g"])
+    def test_non_finite_table_is_domain_error(self, tmp_path, header, cell):
+        rng = np.random.default_rng(3)
+        width = header.count(",") + 1
+        rows = [",".join(f"{v:.6f}" for v in rng.uniform(-1, 1, width)) for _ in range(30)]
+        table_path = tmp_path / "samples.csv"
+        table_path.write_text("\n".join([header, *rows[:10], cell, *rows[10:]]) + "\n")
+        out = tmp_path / "report.json"
+        proc = run_cli("as", "analyze", "--in", str(table_path), "--seed", "1",
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: domain:"), proc.stderr
+        assert "must be finite" in proc.stderr and "row 10 " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestRigidBodyCommand:
