@@ -194,11 +194,10 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
     Equals np.argsort(d2, axis=1, kind="stable")[:, :k] (value, then lower
     index) without sorting whole rows: argpartition picks k candidates,
-    which are ordered by index and then stably by value.  Only a row whose
-    k-th value ties with an entry left out is sorted in full.
+    which are ordered by index and then stably by value.  A row whose k-th
+    value ties with an entry left out is sorted in full, so the result is
+    always that stable-argsort prefix.
     """
-    if k == d2.shape[1]:
-        return np.argsort(d2, axis=1, kind="stable")
     sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
     sel.sort(axis=1)
     ds = np.take_along_axis(d2, sel, axis=1)
