@@ -62,11 +62,9 @@ def main():
         ],
         "dmd": {
             "window_start": 7.0,
-            "window_end": 15.0,
+            "window_end": 7.9,
             "dt": 0.1,
-            "rank": None,
-            "horizon": 30.0,
-            "steady_window": 5.0,
+            "rank": "full",
         },
         "analysis": {
             "degree": 4,

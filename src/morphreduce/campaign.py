@@ -1,11 +1,16 @@
 """End-to-end design-study pipeline: sample, morph, evaluate, reduce.
 
 A campaign draws parameter vectors from the FFD binding box, deforms the
-base mesh for each one, evaluates the objective (optionally through a
-time-resolved path: synthesize transient snapshots, fit a DMD model,
-forecast to the horizon and average a trailing window for the steady
-value), persists one record per sample, and finally runs the
-active-subspace analysis per tracked output.
+base mesh for each one, evaluates the objective, persists one record per
+sample, and finally runs the active-subspace analysis per tracked output.
+
+On the time-resolved path each sample synthesizes a short transient (by
+default 10 snapshots, t in [7, 7.9] s), fits a full-rank DMD model and takes
+the steady value from the model's fixed point (dmd.fixed_point): the mode of
+the one eigenvalue at 1, with every other mode decaying.  The steady value
+thus needs only the first snapshots of the run, no forecast.  A sample whose
+spectrum breaks that rule fails with the rule as its reason; an ok record
+carries the DMD diagnostics next to its scalars.
 
 Samples are independent units of work; every record is written atomically
 and an interrupted run resumes by skipping indices that already have an ok
@@ -45,21 +50,15 @@ logger = logging.getLogger("morphreduce.campaign")
 @dataclass
 class DMDSettings:
     window_start: float = 7.0
-    window_end: float = 15.0
+    window_end: float = 7.9
     dt: float = 0.1
-    rank: object = None
-    horizon: float = 30.0
-    steady_window: float = 5.0
+    rank: object = "full"  # short windows need every mode for the fixed point
 
     def __post_init__(self):
         if self.window_end <= self.window_start:
             raise ConfigError("DMD window end must exceed its start")
         if self.dt <= 0:
             raise ConfigError("DMD sampling interval must be positive")
-        if self.horizon < self.window_end:
-            raise ConfigError("forecast horizon must be >= the window end")
-        if self.steady_window <= 0:
-            raise ConfigError("steady-state window must be positive")
 
     @property
     def n_snapshots(self) -> int:
@@ -190,6 +189,7 @@ class SampleRecord:
     mesh_path: str | None = None
     series_path: str | None = None
     reason: str | None = None
+    diagnostics: dict | None = None
 
     def to_doc(self) -> dict:
         doc = {
@@ -204,6 +204,8 @@ class SampleRecord:
             doc["series"] = self.series_path
         if self.reason is not None:
             doc["reason"] = self.reason
+        if self.diagnostics is not None:
+            doc["diagnostics"] = self.diagnostics
         return doc
 
     @classmethod
@@ -211,10 +213,13 @@ class SampleRecord:
         mu = doc["mu"]
         if not isinstance(mu, list) or not all(isinstance(v, (int, float)) for v in mu):
             raise ValueError(f"mu must be a list of numbers, got {mu!r}")
+        diagnostics = doc.get("diagnostics")
+        if diagnostics is not None and not isinstance(diagnostics, dict):
+            raise ValueError(f"diagnostics must be an object, got {diagnostics!r}")
         return cls(index=int(doc["index"]), mu=np.array(mu, dtype=float),
                    status=doc["status"], scalars=dict(doc.get("scalars", {})),
                    mesh_path=doc.get("mesh"), series_path=doc.get("series"),
-                   reason=doc.get("reason"))
+                   reason=doc.get("reason"), diagnostics=diagnostics)
 
 
 def trim_proxy(mesh: TriMesh) -> float:
@@ -274,6 +279,9 @@ def extract_steady_state(model: dmd.DMDModel, horizon_t: float, window_t: float,
                          channels=None) -> np.ndarray:
     """Mean of the reconstructed states over [horizon - window, horizon].
 
+    The campaign takes its steady values from dmd.fixed_point; this forecast
+    mean serves callers that average a window instead.
+
     The mean is taken in mode space, Re(Theta (b * mean_k Lambda^k)), over
     the forecast steps k_lo..k_hi inside the window: the r x (k_hi - k_lo + 1)
     eigenvalue powers are averaged, and no n-row forecast is formed.
@@ -291,6 +299,19 @@ def extract_steady_state(model: dmd.DMDModel, horizon_t: float, window_t: float,
     return mean if channels is None else mean[np.asarray(channels, dtype=int)]
 
 
+def _dmd_diagnostics(model: dmd.DMDModel, direct: dict, steady: dict) -> dict:
+    """Spectrum checks of a fixed-point fit, and per output the relative
+    change |steady - direct| / |direct| (None where the direct value is 0)."""
+    lam = model.eigenvalues
+    return {
+        "rank": model.rank,
+        "max_abs_eigenvalue": float(np.abs(lam).max()),
+        "fixed_point_distance": float(np.abs(lam - 1.0).min()),
+        "steady_rel_change": {name: abs(steady[name] - value) / abs(value) if value else None
+                              for name, value in direct.items()},
+    }
+
+
 def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
                 config: CampaignConfig, run_dir: Path) -> SampleRecord:
     sample_dir = run_dir / "samples" / f"{index:03d}"
@@ -304,7 +325,7 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
         write_csv(sample_dir / "mu.csv", [mu])
 
         scalars = _tracked_scalars(config, mu, mesh, mesh_file)
-        series_rel = None
+        series_rel = diagnostics = None
         if config.time_resolved:
             offset = _channel_offsets(config, scalars)
             spec = _transient_spec(config, index, offset)
@@ -313,11 +334,13 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
             dmd.save_snapshots_csv(series, sample_dir / "series.csv")
             series_rel = f"{rel}/series.csv"
             model = dmd.fit(series, rank=config.dmd.rank)
-            steady = extract_steady_state(model, config.dmd.horizon,
-                                          config.dmd.steady_window)
+            steady = dmd.fixed_point(model)
+            direct = scalars
             scalars = {name: float(steady[j]) for j, name in enumerate(config.outputs)}
+            diagnostics = _dmd_diagnostics(model, direct, scalars)
         record = SampleRecord(index=index, mu=mu, status="ok", scalars=scalars,
-                              mesh_path=f"{rel}/mesh.obj", series_path=series_rel)
+                              mesh_path=f"{rel}/mesh.obj", series_path=series_rel,
+                              diagnostics=diagnostics)
     except Exception as exc:  # fault isolation: one bad sample never aborts the run
         logger.warning("sample %d failed: %s", index, exc)
         record = SampleRecord(index=index, mu=mu, status="failed", reason=str(exc))
@@ -356,14 +379,15 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
                  resume: bool = True) -> list:
     """Execute the full sampling campaign; returns the list of SampleRecord.
 
+    threads bounds the worker pool; None uses every available CPU.
     Writes run_dir/manifest.json plus one samples/NNN/ directory per sample.
     Per-sample failures are recorded and isolated; config-level problems
     (bad mesh, bad lattice, resumable records of another configuration)
     abort before any evaluation.
     """
-    n_workers = threads if threads else (os.cpu_count() or 1)
-    if n_workers < 1:
-        raise ConfigError(f"thread count must be positive, got {n_workers}")
+    if threads is not None and threads < 1:
+        raise ConfigError(f"thread count must be positive, got {threads}")
+    n_workers = (os.cpu_count() or 1) if threads is None else threads
     lattice, binding = load_ffd_json(config.ffd_path)
     if binding is None:
         raise ConfigError(f"{config.ffd_path}: campaign needs a parameter binding")

@@ -24,15 +24,24 @@ from .textio import csv_lines, read_json, write_csv, write_json
 logger = logging.getLogger("morphreduce.cli")
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type of seeds and counts; AnalysisSettings applies the same rule."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
-        if value >= 0:
+        if value >= low:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of seeds and counts; AnalysisSettings applies the same rule."""
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of thread counts; run_campaign applies the same rule."""
+    return _int_at_least(text, 1)
 
 
 def _seed_flag(parser, text="seed for any randomness (a generated seed is printed if omitted)"):
@@ -316,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyze", action="store_true",
                    help="run the analysis stage after sampling")
     _seed_flag(p, "override the campaign seed of the config document")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="bound on the sample worker pool (default: available parallelism)")
     p.set_defaults(func=cmd_campaign_run)
     p = g_camp.add_parser("analyze", help="analyze a finished run directory")

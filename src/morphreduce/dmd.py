@@ -10,6 +10,10 @@ forecasting:
 
     x_{k+1} ~ Theta Lambda^k b,      b = Theta^+ x_1.
 
+When every other eigenvalue lies inside the unit circle, the series tends to
+the fixed point Theta_k b_k of the one eigenvalue lambda_k = 1; fixed_point
+returns that steady state without forecasting (Schmid 2010).
+
 Amplitudes fitted to the whole series solve the stacked Vandermonde
 problem min_b sum_k ||Theta Lambda^k b - x_{k+1}|| (Jovanovic, Schmid &
 Nichols 2014) in the r-dimensional mode space: with Theta = Q R, each term
@@ -30,9 +34,9 @@ from .errors import ConfigError, DomainError
 from .textio import FLOAT, read_csv, read_json, write_csv, write_json
 
 __all__ = [
-    "SnapshotSet", "DMDModel", "build_shift_pair", "fit",
-    "reconstruct", "reconstruct_series", "predict_next", "predict_at_time",
-    "training_error", "imaginary_residual",
+    "SnapshotSet", "DMDModel", "build_shift_pair", "fit", "fixed_point",
+    "FIXED_POINT_TOL", "reconstruct_series", "predict_next", "predict_at_time",
+    "training_error",
     "load_snapshots_csv", "save_snapshots_csv",
     "load_snapshots_bin", "save_snapshots_bin",
     "save_model_json", "load_model_json",
@@ -81,6 +85,9 @@ class DMDModel:
     t0: float
     dt: float
     mode_kind: str
+
+
+FIXED_POINT_TOL = 1e-6  # |lambda - 1| below which a mode counts as steady
 
 
 def build_shift_pair(snapshots: SnapshotSet):
@@ -176,13 +183,6 @@ def _complex_series(model: DMDModel, steps: np.ndarray) -> np.ndarray:
     return model.modes @ (powers * model.amplitudes[:, None])
 
 
-def reconstruct(model: DMDModel, k: int) -> np.ndarray:
-    """State k steps after the first snapshot (real part of Theta Lambda^k b)."""
-    if k < 0:
-        raise DomainError(f"step index must be >= 0, got {k}")
-    return _complex_series(model, np.array([k])).real[:, 0]
-
-
 def reconstruct_series(model: DMDModel, k_max: int) -> np.ndarray:
     """Columns 0..k_max of the reconstruction, shape (n, k_max + 1)."""
     if k_max < 0:
@@ -216,10 +216,22 @@ def training_error(model: DMDModel, snapshots: SnapshotSet) -> float:
     return float(np.linalg.norm(recon - snapshots.data) / denom)
 
 
-def imaginary_residual(model: DMDModel, k_max: int) -> float:
-    """Largest imaginary-part norm over the reconstruction columns (diagnostic)."""
-    series = _complex_series(model, np.arange(k_max + 1))
-    return float(np.abs(series.imag).max())
+def fixed_point(model: DMDModel) -> np.ndarray:
+    """Steady state Re(Theta_k b_k) of the one eigenvalue lambda_k within
+    FIXED_POINT_TOL of 1.
+
+    Raises DomainError unless exactly one eigenvalue lies that close to 1 and
+    none has |lambda| > 1 + FIXED_POINT_TOL; the message names the rule broken.
+    """
+    lam = model.eigenvalues
+    near = np.flatnonzero(np.abs(lam - 1.0) < FIXED_POINT_TOL)
+    if len(near) != 1:
+        raise DomainError(f"{len(near)} eigenvalues within {FIXED_POINT_TOL:g} of 1")
+    largest = float(np.abs(lam).max())
+    if largest > 1.0 + FIXED_POINT_TOL:
+        raise DomainError(f"max |λ| {largest:.9g} > 1 + {FIXED_POINT_TOL:g}")
+    k = near[0]
+    return (model.modes[:, k] * model.amplitudes[k]).real
 
 
 # --- snapshot and model persistence -------------------------------------

@@ -26,7 +26,7 @@ from .textio import write_csv
 __all__ = [
     "ObjectiveSpec", "evaluate_objective", "objective_gradient", "run_external",
     "TimeSeriesMode", "TimeSeriesSpec", "generate_timeseries",
-    "discrete_eigenvalues", "assemble_evolution",
+    "discrete_eigenvalues",
 ]
 
 OBJECTIVE_KINDS = ("ridge", "quartic-ridge", "volume-drag-proxy", "external-command")
@@ -263,30 +263,3 @@ def discrete_eigenvalues(spec: TimeSeriesSpec, dt: float) -> np.ndarray:
     if np.any(spec.offset):
         lams.append(1.0 + 0.0j)
     return np.array(lams, dtype=complex)
-
-
-def assemble_evolution(spec: TimeSeriesSpec, t0: float, dt: float):
-    """Complex mode matrix and eigenvalues such that x_k = Theta @ Lambda^k @ 1.
-
-    Useful as an analytic oracle: A = Theta diag(Lambda) pinv(Theta) maps
-    each snapshot exactly onto the next one.
-    """
-    columns = []
-    lams = []
-    for idx, mode in enumerate(spec.modes):
-        if mode.amplitude == 0.0:
-            continue
-        profile, phase = _mode_profile_phase(spec, mode, idx)
-        rho = np.exp((mode.growth + 1j * mode.frequency) * dt)
-        z = mode.amplitude * profile * np.exp(1j * phase) \
-            * np.exp((mode.growth + 1j * mode.frequency) * t0)
-        if mode.frequency != 0.0:
-            columns += [0.5 * z, 0.5 * np.conj(z)]
-            lams += [rho, np.conj(rho)]
-        else:
-            columns.append(z.real.astype(complex))
-            lams.append(rho)
-    if np.any(spec.offset):
-        columns.append(spec.offset.astype(complex))
-        lams.append(1.0 + 0.0j)
-    return np.column_stack(columns), np.array(lams, dtype=complex)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import tracemalloc
 from importlib.resources import files
 
@@ -81,9 +83,22 @@ class TestConfig:
     def test_analysis_field_limits_accepted(self, field, value):
         assert getattr(AnalysisSettings(**{field: value}), field) == value
 
-    def test_horizon_before_window_rejected(self):
-        with pytest.raises(ConfigError):
-            DMDSettings(window_end=15.0, horizon=10.0)
+    def test_dmd_defaults_are_ten_snapshot_full_rank(self):
+        assert [f.name for f in dataclasses.fields(DMDSettings)] == [
+            "window_start", "window_end", "dt", "rank"]
+        assert DMDSettings().n_snapshots == 10 and DMDSettings().rank == "full"
+        demo = load_campaign_config(files("morphreduce") / "data" / "demo_campaign.json")
+        assert demo.dmd == DMDSettings()
+
+    @pytest.mark.parametrize("key", ["horizon", "steady_window"])
+    def test_retired_forecast_setting_rejected(self, workspace, key):
+        tmp_path, _, _ = workspace
+        doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,
+               "objective": {"kind": "volume-drag-proxy"}, "dmd": {key: 5.0}}
+        cfg_path = tmp_path / "campaign.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"unexpected keyword argument '{key}'"):
+            load_campaign_config(cfg_path)
 
     @pytest.mark.parametrize("name", ["a,b", 'say "x"', "line\nbreak", "cr\r"],
                              ids=["comma", "quote", "newline", "carriage-return"])
@@ -169,9 +184,7 @@ class TestRunCampaign:
         tmp_path, ffd_path, mesh_path = workspace
         defaults = dict(ffd_path=ffd_path, mesh_path=mesh_path, n_samples=3,
                         objective=ridge_objective(), output_dir=str(tmp_path / "run"),
-                        seed=5, time_resolved=False,
-                        dmd=DMDSettings(window_end=9.0, horizon=12.0,
-                                        steady_window=2.0))
+                        seed=5, time_resolved=False)
         defaults.update(kwargs)
         return CampaignConfig(**defaults)
 
@@ -367,11 +380,42 @@ class TestRunCampaign:
             for name in ("resistance", "trim"):
                 assert abs(a.scalars[name] - b.scalars[name]) < 1e-10
 
-    def test_nonpositive_thread_count_rejected(self, workspace):
+    @pytest.mark.parametrize("threads", [-1, 0])  # only None means "every CPU"
+    def test_nonpositive_thread_count_rejected(self, workspace, threads):
         config = self.config(workspace)
-        with pytest.raises(ConfigError, match="thread count"):
-            run_campaign(config, threads=-1)
+        with pytest.raises(ConfigError, match=f"thread count must be positive, got {threads}"):
+            run_campaign(config, threads=threads)
         assert not camp.Path(config.output_dir).exists()
+
+    def test_time_resolved_records_carry_dmd_diagnostics(self, workspace):
+        config = self.config(workspace, n_samples=4, time_resolved=True, n_channels=8)
+        records = run_campaign(config, threads=1)
+        manifest_file = camp.Path(config.output_dir) / "manifest.json"
+        fresh = manifest_file.read_bytes()
+        for record in records:
+            diag = record.diagnostics
+            assert diag["rank"] == 5  # two oscillating pairs and the offset
+            assert diag["max_abs_eigenvalue"] <= 1.0 + 1e-6
+            assert diag["fixed_point_distance"] < 1e-9
+            assert set(diag["steady_rel_change"]) == set(config.outputs)
+            assert max(diag["steady_rel_change"].values()) < 1e-9
+        run_campaign(config, threads=2)  # resumes every record from record.json
+        assert manifest_file.read_bytes() == fresh
+        doc = json.loads(fresh)["records"][0]
+        assert SampleRecord.from_doc(doc).to_doc() == doc
+
+    def test_direct_records_have_no_diagnostics(self, workspace):
+        records = run_campaign(self.config(workspace, n_samples=2), threads=1)
+        assert all(r.diagnostics is None and "diagnostics" not in r.to_doc()
+                   for r in records)
+
+    def test_growing_transient_fails_with_the_rule(self, workspace):
+        config = self.config(workspace, n_samples=2, time_resolved=True, n_channels=8,
+                             transient_modes=[{"growth": 0.3, "frequency": 2.1}])
+        records = run_campaign(config, threads=1)
+        for record in records:
+            assert record.status == "failed" and record.diagnostics is None
+            assert re.fullmatch(r"max \|λ\| 1\.030454\d* > 1 \+ 1e-06", record.reason)
 
     def test_missing_binding_rejected(self, workspace):
         tmp_path, _, mesh_path = workspace

@@ -107,6 +107,16 @@ class TestExitProtocol:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+    def test_thread_count_below_one_is_usage_error(self, tmp_path, value):
+        out = tmp_path / "run"
+        proc = run_cli("campaign", "run", "--config", "demo", "--out", str(out),
+                       "--threads", value)
+        assert proc.returncode == 2
+        assert f"error: argument --threads: expected an integer >= 1, got '{value}'" \
+            in proc.stderr, proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, file_name, text, message", [
         (("campaign", "analyze", "--run-dir", "{dir}"), "manifest.json", "{}",
          "KeyError: 'records'"),

@@ -1,11 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from morphreduce.dmd import (SnapshotSet, build_shift_pair, fit, imaginary_residual,
-                             load_model_json, load_snapshots_bin, load_snapshots_csv,
-                             predict_next, predict_at_time, reconstruct,
+from morphreduce.dmd import (FIXED_POINT_TOL, DMDModel, SnapshotSet, build_shift_pair,
+                             fit, fixed_point, load_model_json, load_snapshots_bin,
+                             load_snapshots_csv, predict_next, predict_at_time,
                              reconstruct_series, save_model_json, save_snapshots_bin,
                              save_snapshots_csv, training_error)
 from morphreduce.errors import ConfigError, DomainError
@@ -123,22 +124,29 @@ class TestFit:
             fit(SnapshotSet(np.eye(3)), mode_kind="oblique")
 
 
+def complex_state(model, k):
+    """Theta Lambda^k b, evaluated column by column from the model's arrays."""
+    return model.modes @ (model.eigenvalues ** k * model.amplitudes)
+
+
 class TestReconstruct:
     def test_k0_equals_first_snapshot(self):
         snaps, _ = rotation_series()
         model = fit(snaps)
-        np.testing.assert_allclose(reconstruct(model, 0), snaps.data[:, 0], atol=1e-10)
+        np.testing.assert_allclose(reconstruct_series(model, 0)[:, 0], snaps.data[:, 0],
+                                   atol=1e-10)
 
     def test_constant_model_any_k(self):
         data = np.tile(np.array([[3.0], [1.0]]), (1, 8))
         model = fit(SnapshotSet(data))
-        np.testing.assert_allclose(reconstruct(model, 57), [3.0, 1.0], atol=1e-10)
+        np.testing.assert_allclose(reconstruct_series(model, 57)[:, 57], [3.0, 1.0],
+                                   atol=1e-10)
 
     def test_forecast_double_horizon(self):
         snaps, r = rotation_series()
         model = fit(snaps)
         expected = np.linalg.matrix_power(r, 40) @ snaps.data[:, 0]
-        got = reconstruct(model, 40)
+        got = reconstruct_series(model, 40)[:, 40]
         assert np.linalg.norm(got - expected) < 1e-6 * np.linalg.norm(expected)
 
     def test_series_matches_columnwise(self):
@@ -147,17 +155,18 @@ class TestReconstruct:
         series = reconstruct_series(model, 15)
         assert series.shape == (2, 16)
         for k in (0, 3, 15):
-            np.testing.assert_allclose(series[:, k], reconstruct(model, k), atol=1e-12)
+            np.testing.assert_allclose(series[:, k], complex_state(model, k).real,
+                                       atol=1e-12)
 
-    def test_imaginary_residual_small_on_real_data(self):
-        snaps, _ = rotation_series()
-        assert imaginary_residual(fit(snaps), 30) < 1e-8
+    def test_imaginary_part_small_on_real_data(self):
+        model = fit(rotation_series()[0])
+        assert max(np.abs(complex_state(model, k).imag).max() for k in range(31)) < 1e-8
 
     def test_predict_at_time(self):
         snaps, r = rotation_series()
         model = fit(snaps)
         np.testing.assert_allclose(predict_at_time(model, 7.0),
-                                   reconstruct(model, 7), atol=1e-10)
+                                   reconstruct_series(model, 7)[:, 7], atol=1e-10)
 
 
 class TestTrainingError:
@@ -359,3 +368,108 @@ class TestPersistence:
         np.testing.assert_array_equal(back.modes, model.modes)
         np.testing.assert_allclose(reconstruct_series(back, 25),
                                    reconstruct_series(model, 25), atol=0)
+
+
+def relaxing_spec(rng, n=24, growth=(-0.35, -0.6)):
+    """A demo-like transient: a signed offset per channel plus two oscillating
+    modes whose profiles scale with the offset (campaign._transient_spec)."""
+    offset = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    modes = [TimeSeriesMode(g, f, a, profile_seed=int(rng.integers(2**31)),
+                            profile=offset * rng.uniform(0.6, 1.4, n))
+             for g, f, a in zip(growth, (2.1, 0.7), (0.25, 0.1))]
+    return TimeSeriesSpec(modes=modes, dimension=n, offset=offset)
+
+
+class TestFixedPoint:
+    def test_offset_plus_decaying_modes(self):
+        spec = relaxing_spec(np.random.default_rng(4))
+        model = fit(generate_timeseries(spec, 7.0, 0.1, 10), rank="full")
+        assert model.rank == 5
+        steady = fixed_point(model)
+        assert np.abs(steady - spec.offset).max() < 1e-9 * np.abs(spec.offset).max()
+
+    def test_no_offset_rejected(self):
+        spec = relaxing_spec(np.random.default_rng(5))
+        spec.offset[:] = 0.0
+        model = fit(generate_timeseries(spec, 7.0, 0.1, 10), rank="full")
+        with pytest.raises(DomainError, match="^0 eigenvalues within 1e-06 of 1$"):
+            fixed_point(model)
+
+    def test_two_eigenvalues_near_one_rejected(self):
+        # a linear drift is a Jordan block at 1: two eigenvalues ~1e-8 from 1
+        rng = np.random.default_rng(6)
+        drift = rng.uniform(1.0, 2.0, (6, 1)) + rng.uniform(-0.1, 0.1, (6, 1)) * np.arange(10)
+        model = fit(SnapshotSet(drift, t0=7.0, dt=0.1), rank="full")
+        with pytest.raises(DomainError, match="^2 eigenvalues within 1e-06 of 1$"):
+            fixed_point(model)
+
+    def test_growing_mode_rejected(self):
+        spec = relaxing_spec(np.random.default_rng(7), growth=(0.2, -0.6))
+        model = fit(generate_timeseries(spec, 7.0, 0.1, 10), rank="full")
+        with pytest.raises(DomainError) as info:
+            fixed_point(model)
+        largest = re.fullmatch(r"max \|λ\| (\S+) > 1 \+ 1e-06", str(info.value)).group(1)
+        assert float(largest) == pytest.approx(np.exp(0.2 * 0.1), rel=1e-8)
+
+    @pytest.mark.parametrize("eigenvalues, message", [
+        ([1.0, 0.5], None),
+        ([1.0, 1.0 + 0.5 * FIXED_POINT_TOL, 0.5], "2 eigenvalues within"),
+        ([1.0 + 2 * FIXED_POINT_TOL, 0.5], "0 eigenvalues within"),
+        ([1.0, 1.02], "max |λ| 1.02 > 1 + 1e-06"),
+        ([1.0, -1.0 - 2 * FIXED_POINT_TOL], "max |λ| 1.000002 > 1 + 1e-06"),
+        ([1.0, 1j * (1.0 + 0.5 * FIXED_POINT_TOL)], None),
+    ], ids=["decaying", "pair-at-one", "outside-tol", "growing", "growing-negative",
+            "neutral-within-tol"])
+    def test_rule_on_given_spectrum(self, eigenvalues, message):
+        r = len(eigenvalues)
+        model = DMDModel(modes=np.eye(3, r, dtype=complex),
+                         eigenvalues=np.array(eigenvalues, dtype=complex),
+                         amplitudes=np.arange(2.0, 2.0 + r).astype(complex),
+                         rank=r, t0=0.0, dt=1.0, mode_kind="exact")
+        if message is None:
+            np.testing.assert_array_equal(fixed_point(model), [2.0, 0.0, 0.0])
+        else:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                fixed_point(model)
+
+
+class TestSnapshotCountStudy:
+    """Fixed point against the known offset for 33 demo-like transients per cell.
+
+    Noise model: every snapshot entry is multiplied by (1 + noise * z) with z
+    standard normal, drawn from a generator seeded per cell.  Clean windows
+    of any length must recover the offset within 1e-9; at l = 81 noisy fits
+    must pass within 10 x noise.  Shorter noisy windows mostly break the rule
+    (fitted noise modes leave no eigenvalue within 1e-6 of 1, or grow); their
+    outcomes are printed (pytest -s) and only checked to be a rule rejection
+    or a finite error.
+    """
+
+    N_CASES = 33
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-6])
+    @pytest.mark.parametrize("l", [6, 8, 10, 20, 81])
+    def test_window_length_and_noise(self, l, noise):
+        rng = np.random.default_rng(2024)
+        errors, rejected = [], []
+        for _ in range(self.N_CASES):
+            spec = relaxing_spec(rng)
+            data = generate_timeseries(spec, 7.0, 0.1, l).data
+            data = data * (1.0 + noise * rng.standard_normal(data.shape))
+            model = fit(SnapshotSet(data, t0=7.0, dt=0.1), rank="full")
+            try:
+                steady = fixed_point(model)
+            except DomainError as exc:
+                rejected.append(str(exc))
+                continue
+            errors.append(np.abs(steady - spec.offset).max() / np.abs(spec.offset).max())
+        print(f"l={l} noise={noise:g}: {len(rejected)}/{self.N_CASES} rejected, "
+              f"worst accepted error {max(errors, default=float('nan')):.2g}")
+        if noise == 0.0:
+            assert not rejected and max(errors) <= 1e-9
+        elif l == 81:
+            assert not rejected and max(errors) <= 10 * noise
+        else:
+            assert all(re.fullmatch(r"\d+ eigenvalues within 1e-06 of 1|"
+                                    r"max \|λ\| \S+ > 1 \+ 1e-06", m) for m in rejected)
+            assert all(np.isfinite(errors))

@@ -9,9 +9,32 @@ from morphreduce.ffd import FFDLattice, BindingEntry, ParameterBinding, apply_pa
 from morphreduce.geometry import (enclosed_volume, icosphere, ittc57_drag,
                                   save_mesh, surface_area)
 from morphreduce.surrogate import (ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec,
-                                   assemble_evolution, discrete_eigenvalues,
+                                   _mode_profile_phase, discrete_eigenvalues,
                                    evaluate_objective, generate_timeseries,
                                    objective_gradient, run_external)
+
+
+def assemble_evolution(spec, t0, dt):
+    """Complex mode matrix and eigenvalues such that x_k = Theta @ Lambda^k @ 1:
+    the analytic evolution operator of generate_timeseries."""
+    columns, lams = [], []
+    for idx, mode in enumerate(spec.modes):
+        if mode.amplitude == 0.0:
+            continue
+        profile, phase = _mode_profile_phase(spec, mode, idx)
+        rho = np.exp((mode.growth + 1j * mode.frequency) * dt)
+        z = mode.amplitude * profile * np.exp(1j * phase) \
+            * np.exp((mode.growth + 1j * mode.frequency) * t0)
+        if mode.frequency != 0.0:
+            columns += [0.5 * z, 0.5 * np.conj(z)]
+            lams += [rho, np.conj(rho)]
+        else:
+            columns.append(z.real.astype(complex))
+            lams.append(rho)
+    if np.any(spec.offset):
+        columns.append(spec.offset.astype(complex))
+        lams.append(1.0 + 0.0j)
+    return np.column_stack(columns), np.array(lams, dtype=complex)
 
 
 class TestRidgeObjectives:
