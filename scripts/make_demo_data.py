@@ -64,7 +64,6 @@ def main():
             "window_start": 7.0,
             "window_end": 7.9,
             "dt": 0.1,
-            "rank": "full",
         },
         "analysis": {
             "degree": 4,

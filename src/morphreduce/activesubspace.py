@@ -24,9 +24,8 @@ from .textio import read_csv, write_csv
 __all__ = [
     "SampleTable", "ASDecomposition", "ResponseSurface",
     "estimate_gradients", "estimate_covariance", "decompose",
-    "choose_active_dimension", "project", "reassemble",
-    "fit_response_surface", "evaluate_surface", "replicated_errors",
-    "analyze_table", "plot_data", "surface_to_doc", "surface_from_doc",
+    "choose_active_dimension", "fit_response_surface", "evaluate_surface",
+    "replicated_errors", "analyze_table", "plot_data", "surface_to_doc",
     "load_sample_table", "save_sample_table",
 ]
 
@@ -106,7 +105,7 @@ class SampleTable:
 
 @dataclass
 class ASDecomposition:
-    """Eigenpairs of the gradient covariance plus the active/inactive split."""
+    """Eigenpairs of the gradient covariance plus the active dimension."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -119,19 +118,12 @@ class ASDecomposition:
         return len(self.eigenvalues)
 
     def active_basis(self) -> np.ndarray:
-        self._require_active()
-        return self.eigenvectors[:, :self.active_dim]
-
-    def inactive_basis(self) -> np.ndarray:
-        self._require_active()
-        return self.eigenvectors[:, self.active_dim:]
-
-    def _require_active(self):
         if self.active_dim is None:
             raise DomainError("active dimension not set; call choose_active_dimension")
         if not 1 <= self.active_dim < self.m:
             raise DomainError(f"active dimension must be in [1, {self.m}), "
                               f"got {self.active_dim}")
+        return self.eigenvectors[:, :self.active_dim]
 
 
 _BLOCK_ELEMENTS = 2 ** 17  # float64 differences per distance block: 1 MB
@@ -231,32 +223,18 @@ def _sorted_eig(cov: np.ndarray):
     return lam, vec
 
 
-def decompose(source, n_boot: int = 100, seed: int = 0) -> ASDecomposition:
+def decompose(table: SampleTable, n_boot: int = 100, seed: int = 0) -> ASDecomposition:
     """Eigendecompose the gradient covariance with bootstrap intervals.
 
-    source may be a SampleTable carrying gradients (covariance is estimated
-    and 5%/95% percentile intervals are computed by resampling gradient rows
-    with replacement n_boot times) or a plain symmetric (m, m) covariance
-    matrix (no rows to resample, so no intervals).  Each resample's
-    randomness derives from (seed, resample index), so results do not depend
-    on execution order.
+    The covariance is estimated from the table's gradients, and 5%/95%
+    percentile intervals are computed by resampling gradient rows with
+    replacement n_boot times.  Each resample's randomness derives from
+    (seed, resample index), so results do not depend on execution order.
     """
-    if isinstance(source, SampleTable):
-        g = source.normalized_gradients()
-        cov = estimate_covariance(source)
-    else:
-        cov = np.asarray(source, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise DomainError("covariance must be a square matrix")
-        scale = max(np.abs(cov).max(), 1.0)
-        if np.abs(cov - cov.T).max() > 1e-10 * scale:
-            raise DomainError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        g = None
-
-    lam, vec = _sorted_eig(cov)
+    g = table.normalized_gradients()
+    lam, vec = _sorted_eig(estimate_covariance(table))
     lo = hi = None
-    if g is not None and n_boot > 0:
+    if n_boot > 0:
         n = len(g)
         boot = np.empty((n_boot, len(lam)))
         for b in range(n_boot):
@@ -269,14 +247,16 @@ def decompose(source, n_boot: int = 100, seed: int = 0) -> ASDecomposition:
                            bootstrap_lo=lo, bootstrap_hi=hi)
 
 
+_THRESHOLD_RATIO = 1e-2
+
+
 def choose_active_dimension(decomp: ASDecomposition, rule: str = "largest-gap",
-                            explicit: int | None = None,
-                            ratio: float = 1e-2) -> int:
+                            explicit: int | None = None) -> int:
     """Pick the active dimension M.
 
     largest-gap maximizes log(lam_i) - log(lam_{i+1}) (eigenvalues floored at
     1e-16); explicit returns the given M; threshold keeps every eigenvalue
-    at least ratio * lam_1.  Always returns 1 <= M < m.
+    at least 1e-2 * lam_1.  Always returns 1 <= M < m.
     """
     m = decomp.m
     if rule == "explicit":
@@ -288,23 +268,9 @@ def choose_active_dimension(decomp: ASDecomposition, rule: str = "largest-gap",
         gaps = np.log(lam[:-1]) - np.log(lam[1:])
         return int(np.argmax(gaps) + 1)
     if rule == "threshold":
-        keep = int((lam >= ratio * lam[0]).sum())
+        keep = int((lam >= _THRESHOLD_RATIO * lam[0]).sum())
         return min(max(keep, 1), m - 1)
     raise ConfigError(f"unknown active-dimension rule {rule!r}")
-
-
-def project(decomp: ASDecomposition, mu):
-    """Split a (normalized) parameter vector into active and inactive parts."""
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if len(mu) != decomp.m:
-        raise DomainError(f"expected a {decomp.m}-vector, got length {len(mu)}")
-    return decomp.active_basis().T @ mu, decomp.inactive_basis().T @ mu
-
-
-def reassemble(decomp: ASDecomposition, active, inactive) -> np.ndarray:
-    """Inverse of project: W1 @ active + W2 @ inactive."""
-    return decomp.active_basis() @ np.asarray(active, dtype=float) \
-        + decomp.inactive_basis() @ np.asarray(inactive, dtype=float)
 
 
 # --- polynomial response surface ----------------------------------------
@@ -478,16 +444,6 @@ def surface_to_doc(surface: ResponseSurface) -> dict:
         "halfwidth": surface.halfwidth.tolist(),
         "exponents": [list(e) for e in surface.exponents],
     }
-
-
-def surface_from_doc(doc: dict) -> ResponseSurface:
-    return ResponseSurface(
-        degree=int(doc["degree"]), active_dim=int(doc["active_dim"]),
-        coefficients=np.asarray(doc["coefficients"], dtype=float),
-        center=np.asarray(doc["center"], dtype=float),
-        halfwidth=np.asarray(doc["halfwidth"], dtype=float),
-        exponents=[tuple(e) for e in doc["exponents"]],
-    )
 
 
 def analyze_table(table: SampleTable, degree: int = 4, n_boot: int = 100,

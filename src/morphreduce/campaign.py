@@ -52,13 +52,19 @@ class DMDSettings:
     window_start: float = 7.0
     window_end: float = 7.9
     dt: float = 0.1
-    rank: object = "full"  # short windows need every mode for the fixed point
 
     def __post_init__(self):
+        for name in ("window_start", "window_end", "dt"):
+            value = getattr(self, name)
+            if not _is_real(value) or not np.isfinite(value):
+                raise ConfigError(f"DMD {name} must be a finite number, got {value!r}")
         if self.window_end <= self.window_start:
             raise ConfigError("DMD window end must exceed its start")
         if self.dt <= 0:
             raise ConfigError("DMD sampling interval must be positive")
+        if self.n_snapshots < 2:
+            raise ConfigError(f"DMD window [{self.window_start}, {self.window_end}] s at dt "
+                              f"{self.dt} s gives {self.n_snapshots} snapshot(s), need >= 2")
 
     @property
     def n_snapshots(self) -> int:
@@ -79,27 +85,29 @@ class AnalysisSettings:
     RULES = ("largest-gap", "explicit", "threshold")
 
     def __post_init__(self):
-        _require_int("degree", self.degree, 1, 6)  # the range fit_response_surface accepts
+        _require_int("analysis degree", self.degree, 1, 6)  # the range fit_response_surface accepts
         for name in ("n_boot", "seed", "split_seed"):
-            _require_int(name, getattr(self, name), 0)
-        _require_int("n_replicates", self.n_replicates, 1)
+            _require_int(f"analysis {name}", getattr(self, name), 0)
+        _require_int("analysis n_replicates", self.n_replicates, 1)
         if self.explicit_dim is not None:
-            _require_int("explicit_dim", self.explicit_dim, 1)
+            _require_int("analysis explicit_dim", self.explicit_dim, 1)
         if self.rule not in self.RULES:
             raise ConfigError(f"analysis rule must be one of {', '.join(self.RULES)}, "
                               f"got {self.rule!r}")
-        if (isinstance(self.split_fraction, bool)
-                or not isinstance(self.split_fraction, (int, float, np.floating))
-                or not 0.0 < self.split_fraction < 1.0):
+        if not _is_real(self.split_fraction) or not 0.0 < self.split_fraction < 1.0:
             raise ConfigError("analysis split_fraction must lie in (0, 1), "
                               f"got {self.split_fraction!r}")
 
 
-def _require_int(name: str, value, low: int, high: int | None = None) -> None:
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _require_int(label: str, value, low: int, high: int | None = None) -> None:
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < low or (high is not None and value > high)):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"analysis {name} must be an int {span}, got {value!r}")
+        raise ConfigError(f"{label} must be an int {span}, got {value!r}")
 
 
 @dataclass
@@ -126,11 +134,19 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigError("campaign needs at least one sample")
+        _require_int("campaign seed", self.seed, 0)
+        if (not isinstance(self.outputs, (list, tuple))
+                or not all(isinstance(name, str) for name in self.outputs)):
+            raise ConfigError("campaign outputs must be a list of strings, "
+                              f"got {self.outputs!r}")
         self.outputs = tuple(self.outputs)
         if not self.outputs:
             raise ConfigError("campaign needs at least one tracked output")
-        if any(c in str(name) for name in self.outputs for c in ',"\r\n'):  # CSVs are unquoted
+        if any(c in name for name in self.outputs for c in ',"\r\n'):  # CSVs are unquoted
             raise ConfigError(f"output name with a comma, quote or newline in {self.outputs}")
+        if not isinstance(self.time_resolved, bool):
+            raise ConfigError("campaign time_resolved must be true or false, "
+                              f"got {self.time_resolved!r}")
         if self.transient_modes is None:
             self.transient_modes = [dict(m) for m in self.DEFAULT_TRANSIENTS]
         if self.time_resolved and self.n_channels < len(self.outputs) + 1:
@@ -170,9 +186,9 @@ def load_campaign_config(path) -> CampaignConfig:
             objective=ObjectiveSpec(**doc["objective"]),
             output_dir=doc.get("output_dir", "campaign_run"),
             scheme=doc.get("scheme", "latin-hypercube"),
-            seed=int(doc.get("seed", 0)),
-            outputs=tuple(doc.get("outputs", ("resistance", "trim"))),
-            time_resolved=bool(doc.get("time_resolved", True)),
+            seed=doc.get("seed", 0),
+            outputs=doc.get("outputs", ("resistance", "trim")),
+            time_resolved=doc.get("time_resolved", True),
             n_channels=int(doc.get("channels", 24)),
             transient_modes=doc.get("transient_modes"),
             dmd=DMDSettings(**doc.get("dmd", {})),
@@ -333,7 +349,8 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
                                          config.dmd.dt, config.dmd.n_snapshots)
             dmd.save_snapshots_csv(series, sample_dir / "series.csv")
             series_rel = f"{rel}/series.csv"
-            model = dmd.fit(series, rank=config.dmd.rank)
+            # short windows need every mode for the fixed point
+            model = dmd.fit(series, rank="full")
             steady = dmd.fixed_point(model)
             direct = scalars
             scalars = {name: float(steady[j]) for j, name in enumerate(config.outputs)}

@@ -147,11 +147,15 @@ def cmd_as_analyze(args) -> int:
     if table.bounds is None and args.bounds is not None:
         table = asub.SampleTable(table.inputs, table.outputs, table.gradients,
                                  _parse_bounds(args.bounds, table.m))
-    seed = _resolve_seed(args)
+    # the campaign's rule for every setting, checked before any gradient is computed
+    settings = camp.AnalysisSettings(
+        degree=args.degree, split_fraction=args.split, n_boot=args.boot,
+        seed=_resolve_seed(args), split_seed=args.split_seed, rule=args.rule,
+        explicit_dim=args.dim)
     report, decomp, surface = asub.analyze_table(
-        table, degree=args.degree, n_boot=args.boot, seed=seed,
-        split_seed=args.split_seed, train_fraction=args.split,
-        rule=args.rule, explicit_dim=args.dim)
+        table, degree=settings.degree, n_boot=settings.n_boot, seed=settings.seed,
+        split_seed=settings.split_seed, train_fraction=settings.split_fraction,
+        rule=settings.rule, explicit_dim=settings.explicit_dim)
     doc = dict(report)
     if surface is not None:
         doc["surface_model"] = asub.surface_to_doc(surface)

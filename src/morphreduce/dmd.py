@@ -70,9 +70,6 @@ class SnapshotSet:
     def l(self) -> int:
         return self.data.shape[1]
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.l)
-
 
 @dataclass
 class DMDModel:

@@ -22,7 +22,7 @@ from .textio import read_json, write_json
 
 __all__ = [
     "FFDLattice", "BindingEntry", "ParameterBinding",
-    "to_reference", "to_physical", "apply_parameters",
+    "to_reference", "apply_parameters",
     "deform_point", "deform_points", "deform_mesh", "sample_parameters",
     "save_ffd_json", "load_ffd_json",
 ]
@@ -120,14 +120,6 @@ def to_reference(lattice: FFDLattice, points) -> np.ndarray:
     single = p.ndim == 1
     stu = np.linalg.solve(lattice.box_matrix, (p.reshape(-1, 3) - lattice.origin).T).T
     return stu[0] if single else stu
-
-
-def to_physical(lattice: FFDLattice, stu) -> np.ndarray:
-    """Inverse of to_reference."""
-    r = np.asarray(stu, dtype=float)
-    single = r.ndim == 1
-    p = lattice.origin + r.reshape(-1, 3) @ lattice.box_matrix.T
-    return p[0] if single else p
 
 
 def _check_binding_indices(counts: tuple, binding: ParameterBinding) -> None:

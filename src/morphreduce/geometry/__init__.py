@@ -10,22 +10,19 @@ from .integrals import (
     boundary_edge_count,
     enclosed_volume,
     integrate_pressure_force,
-    is_closed,
     ittc57_drag,
     ittc57_friction_coefficient,
-    max_edge_length,
     surface_area,
     triangle_areas,
     volume_centroid,
 )
-from .primitives import demo_hull, icosphere, unit_cube, uv_sphere
+from .primitives import demo_hull, icosphere, unit_cube
 
 __all__ = [
     "TriMesh", "ForceResult",
     "load_mesh", "save_mesh", "load_scalar_field", "save_scalar_field",
     "integrate_pressure_force", "enclosed_volume", "surface_area",
-    "triangle_areas", "volume_centroid", "max_edge_length",
-    "boundary_edge_count", "is_closed",
+    "triangle_areas", "volume_centroid", "boundary_edge_count",
     "ittc57_drag", "ittc57_friction_coefficient",
-    "unit_cube", "icosphere", "uv_sphere", "demo_hull",
+    "unit_cube", "icosphere", "demo_hull",
 ]

@@ -33,13 +33,6 @@ def surface_area(mesh: TriMesh) -> float:
     return float(triangle_areas(mesh).sum())
 
 
-def max_edge_length(mesh: TriMesh) -> float:
-    a, b, c = mesh.corner_coordinates()
-    lengths = [np.linalg.norm(b - a, axis=1), np.linalg.norm(c - b, axis=1),
-               np.linalg.norm(a - c, axis=1)]
-    return float(np.max(lengths)) if mesh.num_triangles else 0.0
-
-
 def boundary_edge_count(mesh: TriMesh) -> int:
     """Number of edges not shared by exactly two opposite-oriented triangles.
 
@@ -55,11 +48,6 @@ def boundary_edge_count(mesh: TriMesh) -> int:
     repeated = keys // n == keys % n
     good = np.where(repeated, total == 1, (total == 2) & (forward == 1))
     return int(len(keys) - good.sum())
-
-
-def is_closed(mesh: TriMesh) -> bool:
-    """Closed iff every edge is shared by exactly two opposite-oriented triangles."""
-    return mesh.num_triangles > 0 and _cached_boundary_edge_count(mesh) == 0
 
 
 def integrate_pressure_force(mesh: TriMesh, pressure_field: str,

@@ -58,16 +58,14 @@ def _as_locked(a, dtype, shape) -> np.ndarray:
 
 @dataclass
 class TriMesh:
-    """Indexed triangle surface with optional named per-vertex fields.
+    """Indexed triangle surface with optional named per-vertex scalar fields.
 
-    scalar_fields maps a name to a (V,) array (e.g. pressure in Pa);
-    vector_fields maps a name to a (V, 3) array.
+    scalar_fields maps a name to a (V,) array (e.g. pressure in Pa).
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     scalar_fields: dict = field(default_factory=dict)
-    vector_fields: dict = field(default_factory=dict)
     # filled lazily and shared with derived meshes: topology facts and OBJ face
     # text of `triangles`, and reference OBJ vertex lines (see _obj_vertex_lines)
     _connectivity: dict = field(default_factory=dict, init=False, repr=False,
@@ -86,12 +84,6 @@ class TriMesh:
                 raise ToolkitError(
                     f"scalar field {name!r} has {len(f)} values for {len(v)} vertices"
                 )
-        for name, f in list(self.vector_fields.items()):
-            f = self.vector_fields[name] = _as_locked(f, float, (-1, 3))
-            if len(f) != len(v):
-                raise ToolkitError(
-                    f"vector field {name!r} has {len(f)} values for {len(v)} vertices"
-                )
 
     @property
     def num_vertices(self) -> int:
@@ -108,15 +100,14 @@ class TriMesh:
     def with_scalar_field(self, name: str, values) -> "TriMesh":
         fields = dict(self.scalar_fields)
         fields[name] = values
-        return self._same_connectivity(self.vertices, fields, dict(self.vector_fields))
+        return self._same_connectivity(self.vertices, fields)
 
     def with_vertices(self, vertices) -> "TriMesh":
         """Same connectivity and fields, new vertex positions."""
-        return self._same_connectivity(vertices, dict(self.scalar_fields),
-                                       dict(self.vector_fields))
+        return self._same_connectivity(vertices, dict(self.scalar_fields))
 
-    def _same_connectivity(self, vertices, scalar_fields, vector_fields) -> "TriMesh":
-        mesh = TriMesh(vertices, self.triangles, scalar_fields, vector_fields)
+    def _same_connectivity(self, vertices, scalar_fields) -> "TriMesh":
+        mesh = TriMesh(vertices, self.triangles, scalar_fields)
         mesh._connectivity = self._connectivity
         return mesh
 
@@ -136,26 +127,22 @@ def triangle_cross_products(mesh: TriMesh) -> np.ndarray:
     return np.cross(b - a, c - a)
 
 
-def _infer_format(path, fmt):
-    if fmt is not None:
-        if fmt not in ("obj", "stl-ascii"):
-            raise ToolkitError(f"unknown mesh format {fmt!r} (expected obj or stl-ascii)")
-        return fmt
+def _infer_format(path):
     suffix = Path(path).suffix.lower()
     if suffix == ".obj":
         return "obj"
     if suffix == ".stl":
         return "stl-ascii"
-    raise ToolkitError(f"cannot infer mesh format from {path!r}; pass fmt explicitly")
+    raise ToolkitError(f"cannot infer mesh format from {path}; expected a .obj or .stl file")
 
 
-def load_mesh(path, fmt: str | None = None, validate: bool = True) -> TriMesh:
-    """Load an OBJ or ASCII STL triangle mesh.
+def load_mesh(path, validate: bool = True) -> TriMesh:
+    """Load an OBJ or ASCII STL triangle mesh, by the .obj or .stl suffix.
 
     With validate on, degenerate (zero-area) triangles are rejected with a
     report of the offending triangle indices.
     """
-    fmt = _infer_format(path, fmt)
+    fmt = _infer_format(path)
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -174,13 +161,13 @@ def load_mesh(path, fmt: str | None = None, validate: bool = True) -> TriMesh:
     return mesh
 
 
-def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
-    """Write a mesh as OBJ or ASCII STL.
+def save_mesh(mesh: TriMesh, path) -> None:
+    """Write a mesh as OBJ or ASCII STL, by the .obj or .stl suffix.
 
     Non-finite vertex coordinates are refused; round-tripping through OBJ
     preserves coordinates exactly and connectivity verbatim.
     """
-    fmt = _infer_format(path, fmt)
+    fmt = _infer_format(path)
     if not np.isfinite(mesh.vertices).all():
         raise ToolkitError("refusing to write mesh with non-finite vertex coordinates")
     if fmt == "obj":

@@ -67,20 +67,19 @@ def icosphere(subdivisions: int = 2, radius: float = 1.0,
     return TriMesh(v, np.array(faces, dtype=np.int64))
 
 
-def uv_sphere(n_lon: int = 32, n_lat: int = 16, radius: float = 1.0,
-              center=(0.0, 0.0, 0.0)) -> TriMesh:
-    """Latitude/longitude sphere with pole fans, outward oriented."""
-    verts = [np.array([0.0, 0.0, radius])]
+def _uv_sphere(n_lon: int, n_lat: int) -> TriMesh:
+    """Unit latitude/longitude sphere with pole fans, outward oriented."""
+    verts = [np.array([0.0, 0.0, 1.0])]
     for i in range(1, n_lat):
         phi = np.pi * i / n_lat
         for j in range(n_lon):
             theta = 2.0 * np.pi * j / n_lon
-            verts.append(radius * np.array([
+            verts.append(np.array([
                 np.sin(phi) * np.cos(theta),
                 np.sin(phi) * np.sin(theta),
                 np.cos(phi),
             ]))
-    verts.append(np.array([0.0, 0.0, -radius]))
+    verts.append(np.array([0.0, 0.0, -1.0]))
     south = len(verts) - 1
 
     def ring(i, j):
@@ -97,8 +96,7 @@ def uv_sphere(n_lon: int = 32, n_lat: int = 16, radius: float = 1.0,
             faces.append((a, c, b))
     for j in range(n_lon):
         faces.append((south, ring(n_lat - 1, j + 1), ring(n_lat - 1, j)))
-    v = np.array(verts) + np.asarray(center, dtype=float)
-    return TriMesh(v, np.array(faces, dtype=np.int64))
+    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64))
 
 
 def demo_hull(n_lon: int = 36, n_lat: int = 18) -> TriMesh:
@@ -107,7 +105,7 @@ def demo_hull(n_lon: int = 36, n_lat: int = 18) -> TriMesh:
     Not a real ship geometry; exists so the end-to-end demo has a watertight
     surface whose bow region an FFD lattice can deform.
     """
-    sphere = uv_sphere(n_lon=n_lon, n_lat=n_lat)
+    sphere = _uv_sphere(n_lon=n_lon, n_lat=n_lat)
     v = sphere.vertices * np.array([2.5, 0.5, 0.45]) - np.array([0.0, 0.0, 0.05])
     bulb = 0.35 * np.exp(-((v[:, 0] - 2.2) ** 2 / 0.16
                            + v[:, 1] ** 2 / 0.04

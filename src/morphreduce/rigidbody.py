@@ -36,7 +36,7 @@ from .textio import write_csv
 
 __all__ = [
     "quat_product", "quat_norm", "quat_normalize", "quat_to_rotation",
-    "quat_derivative", "BodyProperties", "RigidBodyState",
+    "BodyProperties", "RigidBodyState",
     "no_forces", "constant_forces", "step", "simulate", "save_trajectory_csv",
 ]
 
@@ -78,12 +78,6 @@ def quat_to_rotation(q) -> np.ndarray:
         [2 * (x * y + s * z), 1 - 2 * (x * x + z * z), 2 * (y * z - s * x)],
         [2 * (x * z - s * y), 2 * (y * z + s * x), 1 - 2 * (x * x + y * y)],
     ])
-
-
-def quat_derivative(q, omega) -> np.ndarray:
-    """Kinematic rate 0.5 * [0, omega] q."""
-    omega = np.asarray(omega, dtype=float)
-    return 0.5 * quat_product(np.concatenate(([0.0], omega)), q)
 
 
 @dataclass
@@ -189,7 +183,7 @@ def _rk4(y, t, dt, props: BodyProperties, forces):
                 r00 * d0 + r01 * d1 + r02 * d2,
                 r10 * d0 + r11 * d1 + r12 * d2,
                 r20 * d0 + r21 * d1 + r22 * d2,
-                # 0.5 * [0, w] q on the un-normalised q, as quat_derivative
+                # the kinematic rate 0.5 * [0, w] q on the un-normalised q
                 -0.5 * (w0 * qx + w1 * qy + w2 * qz),
                 0.5 * (qs * w0 + (w1 * qz - w2 * qy)),
                 0.5 * (qs * w1 + (w2 * qx - w0 * qz)),
@@ -214,14 +208,11 @@ def _check_times(dt, *times):
 
 
 def step(state: RigidBodyState, props: BodyProperties, forces, t: float,
-         dt: float, renormalize: bool = True) -> RigidBodyState:
+         dt: float) -> RigidBodyState:
     """One explicit RK4 step of length dt starting at time t."""
     _check_times(dt, t)
     y = _rk4(state.as_vector().tolist(), t, dt, props, forces)
-    q = y[9:13]
-    if renormalize:
-        q = quat_normalize(q)
-    return RigidBodyState(y[0:3], y[3:6], y[6:9], q)
+    return RigidBodyState(y[0:3], y[3:6], y[6:9], quat_normalize(y[9:13]))
 
 
 def simulate(state: RigidBodyState, props: BodyProperties, forces,

@@ -212,8 +212,6 @@ class TimeSeriesSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise DomainError("state dimension must be >= 1")
-        self.modes = [m if isinstance(m, TimeSeriesMode) else TimeSeriesMode(**m)
-                      for m in self.modes]
         self.offset = np.broadcast_to(
             np.asarray(self.offset, dtype=float), (self.dimension,)).copy()
 

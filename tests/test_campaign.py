@@ -83,14 +83,41 @@ class TestConfig:
     def test_analysis_field_limits_accepted(self, field, value):
         assert getattr(AnalysisSettings(**{field: value}), field) == value
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "campaign seed must be an int >= 0, got -1"),
+        ("seed", 1.5, "campaign seed must be an int >= 0, got 1.5"),
+        ("seed", True, "campaign seed must be an int >= 0, got True"),
+        ("outputs", "resistance", "campaign outputs must be a list of strings"),
+        ("outputs", ["resistance", 2], "campaign outputs must be a list of strings"),
+        ("time_resolved", "no", "campaign time_resolved must be true or false"),
+        ("time_resolved", 1, "campaign time_resolved must be true or false"),
+        ("dmd", {"dt": float("nan")}, "DMD dt must be a finite number"),
+        ("dmd", {"window_end": float("inf")}, "DMD window_end must be a finite number"),
+        ("dmd", {"window_start": "7"}, "DMD window_start must be a finite number"),
+        ("dmd", {"window_end": 7.04}, r"DMD window .* gives 1 snapshot\(s\), need >= 2"),
+    ], ids=["seed-negative", "seed-float", "seed-bool", "outputs-string", "outputs-number",
+            "time-resolved-string", "time-resolved-int", "dmd-dt-nan", "dmd-end-inf",
+            "dmd-start-string", "dmd-one-snapshot"])
+    def test_every_campaign_field_validated(self, workspace, key, value, message):
+        tmp_path, _, _ = workspace
+        doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,
+               "objective": {"kind": "volume-drag-proxy"}, key: value}
+        cfg_path = tmp_path / "campaign.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg_path))}: {message}"):
+            load_campaign_config(cfg_path)
+
+    def test_shortest_dmd_window_accepted(self):
+        assert DMDSettings(window_start=7.0, window_end=7.1).n_snapshots == 2
+
     def test_dmd_defaults_are_ten_snapshot_full_rank(self):
         assert [f.name for f in dataclasses.fields(DMDSettings)] == [
-            "window_start", "window_end", "dt", "rank"]
-        assert DMDSettings().n_snapshots == 10 and DMDSettings().rank == "full"
+            "window_start", "window_end", "dt"]
+        assert DMDSettings().n_snapshots == 10
         demo = load_campaign_config(files("morphreduce") / "data" / "demo_campaign.json")
         assert demo.dmd == DMDSettings()
 
-    @pytest.mark.parametrize("key", ["horizon", "steady_window"])
+    @pytest.mark.parametrize("key", ["horizon", "steady_window", "rank"])
     def test_retired_forecast_setting_rejected(self, workspace, key):
         tmp_path, _, _ = workspace
         doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,

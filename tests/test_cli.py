@@ -347,6 +347,23 @@ class TestAsCommand:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--split", "1.5"], "analysis split_fraction must lie in (0, 1), got 1.5"),
+        (["--degree", "9"], "analysis degree must be an int in [1, 6], got 9"),
+        (["--dim", "0"], "analysis explicit_dim must be an int >= 1, got 0"),
+    ], ids=["split", "degree", "dim"])
+    def test_bad_setting_rejected_before_analysis(self, tmp_path, flags, message):
+        # a constant output never reaches the surface fit, which checks these too
+        rng = np.random.default_rng(4)
+        table_path = tmp_path / "const.csv"
+        save_sample_table(SampleTable(rng.uniform(-1, 1, (40, 3)), np.ones(40)), table_path)
+        out = tmp_path / "report.json"
+        proc = run_cli("as", "analyze", "--in", str(table_path), "--seed", "1",
+                       "--out", str(out), *flags)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: config: {message}\n"
+        assert not out.exists()
+
 
 class TestRigidBodyCommand:
     def test_simulate_free_fall(self, tmp_path):
@@ -417,7 +434,15 @@ class TestCampaignCommands:
         ("analysis", {"degree": "x"}, "analysis degree must be an int in [1, 6], got 'x'"),
         ("dmd", {"window_start": 15.0, "window_end": 7.0},
          "DMD window end must exceed its start"),
-    ], ids=["analysis-degree", "dmd-window"])
+        ("seed", -1, "campaign seed must be an int >= 0, got -1"),
+        ("outputs", "resistance", "campaign outputs must be a list of strings, "
+                                  "got 'resistance'"),
+        ("time_resolved", "no", "campaign time_resolved must be true or false, got 'no'"),
+        ("dmd", {"dt": float("nan")}, "DMD dt must be a finite number, got nan"),
+        ("dmd", {"window_start": 7.0, "window_end": 7.04},
+         "DMD window [7.0, 7.04] s at dt 0.1 s gives 1 snapshot(s), need >= 2"),
+    ], ids=["analysis-degree", "dmd-window", "seed", "outputs", "time-resolved",
+            "dmd-nan", "dmd-one-snapshot"])
     def test_bad_setting_names_config_file(self, tmp_path, section, value, message):
         from importlib.resources import files
         doc = json.loads((files("morphreduce") / "data" / "demo_campaign.json").read_text())

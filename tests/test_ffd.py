@@ -8,9 +8,15 @@ from morphreduce.errors import ConfigError, DomainError
 from morphreduce.ffd import (BindingEntry, FFDLattice, ParameterBinding,
                              apply_parameters, basis_partition, deform_mesh,
                              deform_point, deform_points, load_ffd_json,
-                             sample_parameters, save_ffd_json, to_physical,
-                             to_reference)
+                             sample_parameters, save_ffd_json, to_reference)
 from morphreduce.geometry import icosphere, unit_cube
+
+
+def to_physical(lattice, stu):
+    """Inverse of to_reference: origin + box_matrix @ (s, t, u)."""
+    r = np.asarray(stu, dtype=float)
+    p = lattice.origin + r.reshape(-1, 3) @ lattice.box_matrix.T
+    return p[0] if r.ndim == 1 else p
 
 
 def unit_lattice(counts=(2, 2, 2)):

@@ -10,7 +10,7 @@ from morphreduce.errors import DomainError, MeshFormatError, MeshTopologyError, 
 from morphreduce.geometry import (TriMesh, boundary_edge_count, demo_hull,
                                   enclosed_volume, icosphere, integrate_pressure_force, ittc57_drag,
                                   ittc57_friction_coefficient, load_mesh,
-                                  load_scalar_field, max_edge_length, save_mesh,
+                                  load_scalar_field, save_mesh,
                                   save_scalar_field, surface_area, unit_cube,
                                   volume_centroid)
 from morphreduce.geometry import integrals
@@ -180,14 +180,13 @@ class TestMeshIO:
         v = np.zeros((3, 3))
         t = np.array([[0, 1, 2]])
         p = np.zeros(3)
-        mesh = TriMesh(v, t, {"p": p}, {"u": v})
+        mesh = TriMesh(v, t, {"p": p})
         v[0, 0] = 5.0
         t[0, 0] = 1
         p[0] = 5.0
         assert mesh.vertices[0, 0] == 0.0
         assert mesh.triangles[0, 0] == 0
         assert mesh.scalar_fields["p"][0] == 0.0
-        assert mesh.vector_fields["u"][0, 0] == 0.0
         moved = mesh.with_vertices(v).with_scalar_field("q", p)
         p[1] = 5.0
         assert moved.vertices[0, 0] == 5.0 and moved.scalar_fields["q"][1] == 0.0
@@ -219,6 +218,14 @@ class TestMeshIO:
         again = tmp_path / "sphere2.stl"
         save_mesh(back, again)
         assert np.array_equal(load_mesh(again).vertices, back.vertices)
+
+    def test_format_follows_the_suffix(self, tmp_path):
+        save_mesh(unit_cube(), tmp_path / "cube.STL")
+        assert (tmp_path / "cube.STL").read_text().startswith("solid mesh\n")
+        assert load_mesh(tmp_path / "cube.STL").num_triangles == 12
+        for call in (lambda p: save_mesh(unit_cube(), p), load_mesh):
+            with pytest.raises(ToolkitError, match=r"cube\.ply; expected a \.obj or \.stl"):
+                call(tmp_path / "cube.ply")
 
     def test_refuses_nan_vertex(self, tmp_path):
         mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
@@ -371,7 +378,8 @@ class TestPressureForce:
             f = integrate_pressure_force(mesh, "p").force
             norms.append(np.linalg.norm(f))
             floors.append(1e-12 * 100.0 * mesh.num_triangles)
-        h_coarse = max_edge_length(icosphere(2))
+        a, b, c = icosphere(2).corner_coordinates()
+        h_coarse = np.linalg.norm(np.concatenate([b - a, c - b, a - c]), axis=1).max()
         assert norms[0] < 100.0 * h_coarse  # |F| <= C h with C ~ p
         # constant fields cancel exactly in this quadrature, so refinement
         # either reduces |F| or leaves it at the roundoff floor
