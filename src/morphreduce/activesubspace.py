@@ -137,10 +137,13 @@ def estimate_gradients(table: SampleTable, method: str = "local-linear",
     local-linear fits a least-squares hyperplane through the k nearest
     neighbors of each point (k defaults to max(m + 2, ceil(N / 10))) and
     needs no extra evaluations.  Neighbors are ranked by squared distance in
-    the normalized inputs, equal distances by the lower row index (the order
-    of a stable argsort), and distances are formed a block of rows at a time,
-    so memory stays O(N m).  finite-difference runs central differences with
-    the given evaluator callback f(mu) -> scalar.
+    the normalized inputs, equal distances by the lower row index (see
+    _neighbor_blocks).  The fits of each block of rows are stacked QR
+    solves: one QR of the design matrices A = [1, x_j - x_i] with f_j
+    appended, then one solve of R c = Q^T f.  A neighborhood is rank-deficient by lstsq's rule, smallest singular value
+    at most eps * max(k, m + 1) times the largest, and the gradients agree
+    with a per-row lstsq to rounding, not bit for bit.  finite-difference
+    runs central differences with the given evaluator callback f(mu) -> scalar.
     """
     if method == "finite-difference":
         if evaluator is None:
@@ -163,22 +166,41 @@ def estimate_gradients(table: SampleTable, method: str = "local-linear",
     k = min(max(k, m + 1), n)
     f = table.outputs
     grads = np.empty((n, m))
-    a = np.ones((k, m + 1))  # design matrix [1, x_j - x_i]; its ones column stays
+    tol = np.finfo(float).eps * max(k, m + 1)
+    for start, nbr in _neighbor_blocks(x, k):
+        stop = start + len(nbr)
+        # the R factor of [A | f] holds the R of A and, in its last column, Q^T f
+        a = np.empty((len(nbr), k, m + 2))
+        a[:, :, 0] = 1.0
+        np.subtract(x[nbr], x[start:stop, None, :], out=a[:, :, 1:-1])
+        a[:, :, -1] = f[nbr]
+        r = np.linalg.qr(a, mode="r")[:, :m + 1]
+        s = np.linalg.svd(r[:, :, :-1], compute_uv=False)  # the singular values of A
+        deficient = s[:, -1] <= tol * s[:, 0]
+        if deficient.any():
+            raise DomainError(
+                f"rank-deficient neighborhood around sample {start + deficient.argmax()}; "
+                f"increase the sample count or neighbor count"
+            )
+        grads[start:stop] = np.linalg.solve(r[:, :, :-1], r[:, :, -1:])[:, 1:, 0]
+    grads /= table._center_half()[1]  # back to raw coordinates
+    return table.with_gradients(grads)
+
+
+def _neighbor_blocks(x: np.ndarray, k: int):
+    """Yield (first row, neighbor indices) for consecutive blocks of rows of x.
+
+    Neighbors are ranked by squared distance, equal distances by the lower
+    row index, so each row's indices are np.argsort(d2, kind="stable")[:k]
+    of its row of the full distance matrix.  Distances are formed a block of
+    rows at a time, so memory stays O(N m).
+    """
+    n, m = x.shape
     rows = max(1, _BLOCK_ELEMENTS // (n * m))
     for start in range(0, n, rows):
         diff = x[None, :, :] - x[start:start + rows, None, :]
         d2 = np.square(diff, out=diff).sum(axis=2)
-        for i, nbr in enumerate(_nearest(d2, k), start):
-            np.subtract(x[nbr], x[i], out=a[:, 1:])
-            coef, _, rank, _ = np.linalg.lstsq(a, f[nbr], rcond=None)
-            if rank < m + 1:
-                raise DomainError(
-                    f"rank-deficient neighborhood around sample {i}; "
-                    f"increase the sample count or neighbor count"
-                )
-            grads[i] = coef[1:]
-    grads /= table._center_half()[1]  # back to raw coordinates
-    return table.with_gradients(grads)
+        yield start, _nearest(d2, k)
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -208,19 +230,22 @@ def estimate_covariance(table: SampleTable) -> np.ndarray:
 
 
 def _sorted_eig(cov: np.ndarray):
+    """Eigenpairs of one symmetric matrix or of a (..., m, m) stack of them.
+
+    Eigenvalues descend (equal values in the reverse of eigh's order, as a
+    stable descending sort gives) and are floored at 0; a significantly
+    negative one raises.  Each
+    eigenvector's largest-magnitude component, the first one on a tie, is
+    positive.
+    """
     lam, vec = np.linalg.eigh(cov)
-    order = np.argsort(lam, kind="stable")[::-1]
-    lam, vec = lam[order], vec[:, order]
-    trace = max(lam.sum(), 0.0)
-    if lam.min() < -1e-10 * max(trace, 1.0):
+    lam, vec = lam[..., ::-1], vec[..., ::-1]  # eigh ascends, so this is the stable sort
+    trace = np.maximum(lam.sum(axis=-1), 0.0)
+    if (lam.min(axis=-1) < -1e-10 * np.maximum(trace, 1.0)).any():
         raise DomainError("covariance has a significantly negative eigenvalue")
     lam = np.maximum(lam, 0.0)
-    # sign convention: largest-magnitude component of each eigenvector positive
-    for j in range(vec.shape[1]):
-        k = int(np.argmax(np.abs(vec[:, j])))
-        if vec[k, j] < 0.0:
-            vec[:, j] = -vec[:, j]
-    return lam, vec
+    top = np.take_along_axis(vec, np.abs(vec).argmax(axis=-2)[..., None, :], axis=-2)
+    return lam, np.where(top < 0.0, -vec, vec)
 
 
 def decompose(table: SampleTable, n_boot: int = 100, seed: int = 0) -> ASDecomposition:
@@ -230,17 +255,20 @@ def decompose(table: SampleTable, n_boot: int = 100, seed: int = 0) -> ASDecompo
     percentile intervals are computed by resampling gradient rows with
     replacement n_boot times.  Each resample's randomness derives from
     (seed, resample index), so results do not depend on execution order.
+    The resampled covariances are formed one at a time and eigendecomposed
+    as one stack, so memory stays O(N m + n_boot m^2).
     """
     g = table.normalized_gradients()
     lam, vec = _sorted_eig(estimate_covariance(table))
     lo = hi = None
     if n_boot > 0:
         n = len(g)
-        boot = np.empty((n_boot, len(lam)))
+        covs = np.empty((n_boot, len(lam), len(lam)))
         for b in range(n_boot):
             rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
             rows = g[rng.integers(0, n, n)]
-            boot[b] = _sorted_eig(rows.T @ rows / n)[0]
+            covs[b] = rows.T @ rows / n
+        boot = _sorted_eig(covs)[0]
         lo = np.percentile(boot, 5.0, axis=0)
         hi = np.percentile(boot, 95.0, axis=0)
     return ASDecomposition(eigenvalues=lam, eigenvectors=vec,

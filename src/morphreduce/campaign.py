@@ -132,8 +132,8 @@ class CampaignConfig:
     )
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigError("campaign needs at least one sample")
+        _require_int("campaign samples", self.n_samples, 1)
+        _require_int("campaign channels", self.n_channels, 1)
         _require_int("campaign seed", self.seed, 0)
         if (not isinstance(self.outputs, (list, tuple))
                 or not all(isinstance(name, str) for name in self.outputs)):
@@ -149,6 +149,7 @@ class CampaignConfig:
                               f"got {self.time_resolved!r}")
         if self.transient_modes is None:
             self.transient_modes = [dict(m) for m in self.DEFAULT_TRANSIENTS]
+        self.transient_modes = _checked_modes(self.transient_modes)
         if self.time_resolved and self.n_channels < len(self.outputs) + 1:
             raise ConfigError("need more snapshot channels than tracked outputs")
 
@@ -171,6 +172,21 @@ class CampaignConfig:
         }
 
 
+def _checked_modes(modes) -> list:
+    """transient_modes as a list of {growth, frequency[, amplitude]} float dicts."""
+    if not isinstance(modes, (list, tuple)):
+        raise ConfigError(f"campaign transient_modes must be a list of objects, got {modes!r}")
+    checked = []
+    for mode in modes:
+        if (not isinstance(mode, dict) or not {"growth", "frequency"} <= mode.keys()
+                or not mode.keys() <= {"growth", "frequency", "amplitude"}
+                or not all(_is_real(v) and np.isfinite(v) for v in mode.values())):
+            raise ConfigError("campaign transient mode must map growth, frequency and "
+                              f"optionally amplitude to finite numbers, got {mode!r}")
+        checked.append({key: float(value) for key, value in mode.items()})
+    return checked
+
+
 def load_campaign_config(path) -> CampaignConfig:
     """Read a campaign JSON document.
 
@@ -182,14 +198,14 @@ def load_campaign_config(path) -> CampaignConfig:
         return CampaignConfig(
             ffd_path=str(base / doc["ffd"]),
             mesh_path=str(base / doc["mesh"]),
-            n_samples=int(doc["samples"]),
+            n_samples=doc["samples"],
             objective=ObjectiveSpec(**doc["objective"]),
             output_dir=doc.get("output_dir", "campaign_run"),
             scheme=doc.get("scheme", "latin-hypercube"),
             seed=doc.get("seed", 0),
             outputs=doc.get("outputs", ("resistance", "trim")),
             time_resolved=doc.get("time_resolved", True),
-            n_channels=int(doc.get("channels", 24)),
+            n_channels=doc.get("channels", 24),
             transient_modes=doc.get("transient_modes"),
             dmd=DMDSettings(**doc.get("dmd", {})),
             analysis=AnalysisSettings(**doc.get("analysis", {})),
@@ -273,9 +289,9 @@ def _transient_spec(config: CampaignConfig, index: int, offset: np.ndarray) -> T
         rng = np.random.default_rng(int(seed_entropy))
         relative = rng.uniform(0.6, 1.4, config.n_channels)
         modes.append(TimeSeriesMode(
-            growth=float(mode["growth"]),
-            frequency=float(mode["frequency"]),
-            amplitude=float(mode.get("amplitude", 0.2)),
+            growth=mode["growth"],
+            frequency=mode["frequency"],
+            amplitude=mode.get("amplitude", 0.2),
             profile_seed=int(seed_entropy),
             profile=offset * relative,
         ))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from morphreduce.activesubspace import (_BLOCK_ELEMENTS, _nearest, _sorted_eig,
+from morphreduce.activesubspace import (_nearest, _neighbor_blocks, _sorted_eig,
                                         ASDecomposition, SampleTable, analyze_table,
                                         choose_active_dimension, decompose,
                                         estimate_covariance, estimate_gradients,
@@ -75,15 +75,10 @@ class TestGradientEstimation:
         x = np.vstack([x, x[:15], x[:5]])
         table = SampleTable(x, np.sin(x @ [1.0, -2.0, 0.5]) + x[:, 0] ** 2,
                             bounds=box_bounds(3, 0.5))
-        got = estimate_gradients(table, n_neighbors=12).gradients
-        xn = table.normalized_inputs()
-        d2 = ((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=2)  # full N x N matrix
-        ref = np.empty_like(got)
-        for i in range(len(xn)):
-            nbr = np.argsort(d2[i], kind="stable")[:12]
-            a = np.column_stack([np.ones(12), xn[nbr] - xn[i]])
-            ref[i] = np.linalg.lstsq(a, table.outputs[nbr], rcond=None)[0][1:] / 0.5
-        assert got.tobytes() == ref.tobytes()
+        nbrs, ref, deficient = full_sort_reference(table, 12)
+        assert deficient is None
+        assert np.array_equal(block_neighbors(table, 12)[0], nbrs)
+        assert_gradients_match(estimate_gradients(table, n_neighbors=12).gradients, ref)
 
     def test_memory_is_not_quadratic_in_samples(self):
         assert gradient_peak_bytes(1500, 8, seed=5) < 8e6  # one 1500^2 matrix takes 18 MB
@@ -105,32 +100,39 @@ class TestGradientEstimation:
         if layout == "duplicated":
             x = np.vstack([x, x[n // 2:n // 2 + n // 5]])
             n = len(x)
-        rows = max(1, _BLOCK_ELEMENTS // (n * m))
-        assert -(-n // rows) >= 3  # the distances span at least three row blocks
         f = np.sin(x @ rng.standard_normal(m)) + x[:, 0] ** 2
         table = SampleTable(x, f, bounds=box_bounds(m, 0.5))
         k = {"m+1": m + 1, "default": max(m + 2, int(np.ceil(n / 10))), "N": n}[k_rule]
-        xn = table.normalized_inputs()
-        d2 = ((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=2)
+        nbrs, ref, deficient = full_sort_reference(table, k)
+        got, n_blocks = block_neighbors(table, k)
+        assert n_blocks >= 3  # the distances span at least three row blocks
+        assert np.array_equal(got, nbrs)
         if layout != "uniform" and k < n:
-            ordered = np.sort(d2, axis=1)
-            assert (ordered[:, k - 1] == ordered[:, k]).any()  # some cut is ambiguous
-        ref = np.empty_like(xn)
-        deficient = None
-        for i in range(n):
-            nbr = np.argsort(d2[i], kind="stable")[:k]
-            a = np.column_stack([np.ones(k), xn[nbr] - xn[i]])
-            coef, _, rank, _ = np.linalg.lstsq(a, f[nbr], rcond=None)
-            if rank < m + 1:
-                deficient = i
-                break
-            ref[i] = coef[1:] / 0.5
+            xn = table.normalized_inputs()
+            d2 = np.sort(((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=2), axis=1)
+            assert (d2[:, k - 1] == d2[:, k]).any()  # some cut is ambiguous
         if deficient is not None:
             with pytest.raises(DomainError, match=f"around sample {deficient};"):
                 estimate_gradients(table, n_neighbors=k)
         else:
-            assert estimate_gradients(table, n_neighbors=k).gradients.tobytes() \
-                == ref.tobytes()
+            assert_gradients_match(estimate_gradients(table, n_neighbors=k).gradients, ref)
+
+    @pytest.mark.parametrize("spread", [3e-15, 1e-13])
+    def test_rank_rule_is_lstsq_rule(self, spread):
+        # the design's singular-value ratio falls between eps and eps * k at
+        # spread 3e-15, so only lstsq's eps * max(k, m + 1) cutoff flags it
+        x = np.linspace(-1.0, 1.0, 40)[:, None] * spread
+        table = SampleTable(x, np.arange(40.0))
+        a = np.column_stack([np.ones(40), x[:, 0] - x[0, 0]])
+        ratio = np.divide(*np.linalg.svd(a, compute_uv=False)[::-1])
+        _, ref, deficient = full_sort_reference(table, 40)
+        assert (deficient == 0) == (ratio <= np.finfo(float).eps * 40)
+        if deficient is not None:
+            assert ratio > np.finfo(float).eps
+            with pytest.raises(DomainError, match="around sample 0;"):
+                estimate_gradients(table, n_neighbors=40)
+        else:
+            assert_gradients_match(estimate_gradients(table, n_neighbors=40).gradients, ref)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 29, 30])
     def test_nearest_is_stable_argsort_prefix(self, k):
@@ -140,6 +142,35 @@ class TestGradientEstimation:
         d2[5, :] = np.inf
         expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
         assert np.array_equal(_nearest(d2, k), expected)
+
+
+def full_sort_reference(table, k):
+    """Neighbours by a stable argsort of the full N x N distance matrix and
+    per-row lstsq gradients; (neighbours, gradients, first rank-deficient row)."""
+    xn = table.normalized_inputs()
+    d2 = ((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=2)
+    nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    ref = np.empty_like(xn)
+    for i, nbr in enumerate(nbrs):
+        a = np.column_stack([np.ones(k), xn[nbr] - xn[i]])
+        coef, _, rank, _ = np.linalg.lstsq(a, table.outputs[nbr], rcond=None)
+        if rank < table.m + 1:
+            return nbrs, None, i
+        ref[i] = coef[1:] / table._center_half()[1]
+    return nbrs, ref, None
+
+
+def block_neighbors(table, k):
+    """The neighbour indices estimate_gradients fits, and the number of row blocks."""
+    blocks = list(_neighbor_blocks(table.normalized_inputs(), k))
+    assert [start for start, _ in blocks] == list(
+        np.cumsum([0] + [len(nbr) for _, nbr in blocks[:-1]]))
+    return np.concatenate([nbr for _, nbr in blocks]), len(blocks)
+
+
+def assert_gradients_match(got, ref):
+    # a stacked QR solve rounds differently from lstsq's SVD, by about cond * eps
+    assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def gradient_peak_bytes(n, m, seed):
@@ -230,11 +261,85 @@ class TestDecompose:
         assert np.array_equal(a.bootstrap_lo, b.bootstrap_lo)
         assert np.array_equal(a.bootstrap_hi, b.bootstrap_hi)
 
+    @pytest.mark.parametrize("kind", ["ridge", "isotropic"])
+    def test_bootstrap_matches_per_resample_loop(self, kind):
+        if kind == "ridge":
+            table = estimate_gradients(ridge_table(n=200, m=5, seed=30, exact=False)[0])
+        else:
+            x = np.random.default_rng(31).uniform(-1, 1, (150, 4))
+            table = SampleTable(x, np.sum(x ** 2, axis=1), 2.0 * x, bounds=box_bounds(4))
+        got = decompose(table, n_boot=40, seed=5)
+        ref = per_resample_decompose(table, n_boot=40, seed=5)
+        for name in ("eigenvalues", "eigenvectors", "bootstrap_lo", "bootstrap_hi"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_stack_gets_sign_convention_per_matrix(self):
+        vectors = np.array([[-0.6, 0.8, 0.0], [0.8, -0.6, 0.0], [0.0, -0.28, 0.96],
+                            [-1.0, 0.0, 0.0]])
+        stack = np.array([np.outer(c, c) for c in vectors])
+        lam, vec = _sorted_eig(stack)
+        for j, cov in enumerate(stack):
+            lam_j, vec_j = _sorted_eig(cov)
+            assert lam[j].tobytes() == lam_j.tobytes()
+            assert vec[j].tobytes() == vec_j.tobytes()
+            top = np.argmax(np.abs(vec[j]), axis=0)
+            assert (vec[j][top, np.arange(3)] > 0.0).all()
+            c = vectors[j]
+            np.testing.assert_allclose(vec[j][:, 0], c * np.sign(c[np.argmax(np.abs(c))]),
+                                       atol=1e-14)
+
+    def test_one_negative_matrix_in_stack_raises(self):
+        stack = np.array([np.eye(3), np.diag([1.0, 0.5, -0.1]), np.eye(3)])
+        with pytest.raises(DomainError, match="significantly negative eigenvalue"):
+            _sorted_eig(stack)
+        _sorted_eig(stack[[0, 2]])
+
+    def test_bootstrap_memory_is_linear(self):
+        rng = np.random.default_rng(32)
+        g = rng.standard_normal((3000, 8))
+        table = SampleTable(np.zeros((3000, 8)), np.zeros(3000), g)
+        tracemalloc.start()
+        try:
+            decompose(table, n_boot=100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # gathering all resamples as (100, 3000, 8) takes 19 MB
+
     def test_orthogonality(self):
         table, _ = ridge_table(n=120, seed=7)
         dec = decompose(table, n_boot=0)
         w = dec.eigenvectors
         assert np.abs(w.T @ w - np.eye(w.shape[1])).max() < 1e-10
+
+
+def per_resample_decompose(table, n_boot, seed):
+    """decompose as one eigh, sort and sign loop per resample."""
+    def sorted_eig(cov):
+        lam, vec = np.linalg.eigh(cov)
+        order = np.argsort(lam, kind="stable")[::-1]
+        lam, vec = lam[order], vec[:, order]
+        trace = max(lam.sum(), 0.0)
+        if lam.min() < -1e-10 * max(trace, 1.0):
+            raise DomainError("covariance has a significantly negative eigenvalue")
+        lam = np.maximum(lam, 0.0)
+        for j in range(vec.shape[1]):
+            k = int(np.argmax(np.abs(vec[:, j])))
+            if vec[k, j] < 0.0:
+                vec[:, j] = -vec[:, j]
+        return lam, vec
+
+    g = table.normalized_gradients()
+    lam, vec = sorted_eig(estimate_covariance(table))
+    n = len(g)
+    boot = np.empty((n_boot, len(lam)))
+    for b in range(n_boot):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        rows = g[rng.integers(0, n, n)]
+        boot[b] = sorted_eig(rows.T @ rows / n)[0]
+    return ASDecomposition(eigenvalues=lam, eigenvectors=vec,
+                           bootstrap_lo=np.percentile(boot, 5.0, axis=0),
+                           bootstrap_hi=np.percentile(boot, 95.0, axis=0))
 
 
 class TestActiveDimension:

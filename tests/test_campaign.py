@@ -95,9 +95,32 @@ class TestConfig:
         ("dmd", {"window_end": float("inf")}, "DMD window_end must be a finite number"),
         ("dmd", {"window_start": "7"}, "DMD window_start must be a finite number"),
         ("dmd", {"window_end": 7.04}, r"DMD window .* gives 1 snapshot\(s\), need >= 2"),
+        ("samples", 4.9, "campaign samples must be an int >= 1, got 4.9"),
+        ("samples", 0, "campaign samples must be an int >= 1, got 0"),
+        ("samples", "4", "campaign samples must be an int >= 1, got '4'"),
+        ("channels", 24.5, "campaign channels must be an int >= 1, got 24.5"),
+        ("channels", 0, "campaign channels must be an int >= 1, got 0"),
+        ("channels", True, "campaign channels must be an int >= 1, got True"),
+        ("transient_modes", {"growth": -0.3, "frequency": 2.0},
+         "campaign transient_modes must be a list of objects"),
+        ("transient_modes", [{"growth": "x", "frequency": 2.0}],
+         "campaign transient mode must map growth, frequency and optionally amplitude"),
+        ("transient_modes", [{"growth": -0.3}],
+         "campaign transient mode must map growth, frequency and optionally amplitude"),
+        ("transient_modes", [{"growth": -0.3, "frequency": 2.0, "phase": 1.0}],
+         "campaign transient mode must map growth, frequency and optionally amplitude"),
+        ("transient_modes", [{"growth": -0.3, "frequency": 2.0, "amplitude": float("nan")}],
+         "campaign transient mode must map growth, frequency and optionally amplitude"),
+        ("transient_modes", [{"growth": -0.3, "frequency": False}],
+         "campaign transient mode must map growth, frequency and optionally amplitude"),
+        ("transient_modes", [[-0.3, 2.0]],
+         "campaign transient mode must map growth, frequency and optionally amplitude"),
     ], ids=["seed-negative", "seed-float", "seed-bool", "outputs-string", "outputs-number",
             "time-resolved-string", "time-resolved-int", "dmd-dt-nan", "dmd-end-inf",
-            "dmd-start-string", "dmd-one-snapshot"])
+            "dmd-start-string", "dmd-one-snapshot", "samples-float", "samples-zero",
+            "samples-string", "channels-float", "channels-zero", "channels-bool",
+            "modes-object", "modes-growth-string", "modes-no-frequency", "modes-unknown-key",
+            "modes-amplitude-nan", "modes-frequency-bool", "modes-list-entry"])
     def test_every_campaign_field_validated(self, workspace, key, value, message):
         tmp_path, _, _ = workspace
         doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,
@@ -106,6 +129,18 @@ class TestConfig:
         cfg_path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg_path))}: {message}"):
             load_campaign_config(cfg_path)
+
+    def test_transient_modes_stored_as_floats(self):
+        config = CampaignConfig(ffd_path="f.json", mesh_path="m.obj", n_samples=1,
+                                objective=ridge_objective(),
+                                transient_modes=[{"growth": -1, "frequency": np.int64(2)},
+                                                 {"growth": -0.5, "frequency": 1.5,
+                                                  "amplitude": 1}])
+        assert config.transient_modes == [{"growth": -1.0, "frequency": 2.0},
+                                          {"growth": -0.5, "frequency": 1.5,
+                                           "amplitude": 1.0}]
+        assert all(type(v) is float for mode in config.transient_modes
+                   for v in mode.values())
 
     def test_shortest_dmd_window_accepted(self):
         assert DMDSettings(window_start=7.0, window_end=7.1).n_snapshots == 2
