@@ -298,12 +298,20 @@ def _transient_spec(config: CampaignConfig, index: int, offset: np.ndarray) -> T
     return TimeSeriesSpec(modes=modes, dimension=config.n_channels, offset=offset)
 
 
-def _channel_offsets(config: CampaignConfig, scalars: dict) -> np.ndarray:
-    tracked = np.array([scalars[name] for name in config.outputs])
-    n_probe = config.n_channels - len(tracked)
+def _probe_mix(config: CampaignConfig) -> tuple:
+    """(base, mix) of the probe-channel offsets base + mix @ tracked; they
+    depend only on the config, so a campaign draws them once."""
+    n_tracked = len(config.outputs)
+    n_probe = config.n_channels - n_tracked
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x70726F62]))
     base = rng.uniform(-1.0, 1.0, n_probe)
-    mix = rng.uniform(-1.0, 1.0, (n_probe, len(tracked)))
+    mix = rng.uniform(-1.0, 1.0, (n_probe, n_tracked))
+    return base, mix
+
+
+def _channel_offsets(config: CampaignConfig, scalars: dict, probe_mix: tuple) -> np.ndarray:
+    tracked = np.array([scalars[name] for name in config.outputs])
+    base, mix = probe_mix
     return np.concatenate([tracked, base + mix @ tracked])
 
 
@@ -345,7 +353,7 @@ def _dmd_diagnostics(model: dmd.DMDModel, direct: dict, steady: dict) -> dict:
 
 
 def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
-                config: CampaignConfig, run_dir: Path) -> SampleRecord:
+                config: CampaignConfig, run_dir: Path, probe_mix) -> SampleRecord:
     sample_dir = run_dir / "samples" / f"{index:03d}"
     sample_dir.mkdir(parents=True, exist_ok=True)
     rel = f"samples/{index:03d}"
@@ -359,7 +367,7 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
         scalars = _tracked_scalars(config, mu, mesh, mesh_file)
         series_rel = diagnostics = None
         if config.time_resolved:
-            offset = _channel_offsets(config, scalars)
+            offset = _channel_offsets(config, scalars, probe_mix)
             spec = _transient_spec(config, index, offset)
             series = generate_timeseries(spec, config.dmd.window_start,
                                          config.dmd.dt, config.dmd.n_snapshots)
@@ -433,9 +441,11 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     records = [_reusable_record(run_dir, i, mus[i]) if resume else None
                for i in range(config.n_samples)]
     todo = [i for i, r in enumerate(records) if r is None]
+    probe_mix = _probe_mix(config) if config.time_resolved else None
 
     def work(i):
-        return _run_sample(i, mus[i], lattice, binding, base_mesh, config, run_dir)
+        return _run_sample(i, mus[i], lattice, binding, base_mesh, config, run_dir,
+                           probe_mix)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for i, record in zip(todo, pool.map(work, todo)):

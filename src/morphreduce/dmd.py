@@ -1,7 +1,7 @@
 """Dynamic mode decomposition of equispaced snapshot series.
 
 Fits a low-rank linear evolution operator to columns x_1 ... x_l of a
-snapshot matrix: with S = [x_1 ... x_{l-1}] and S' = [x_2 ... x_l], the
+snapshot matrix X: with S = [x_1 ... x_{l-1}] and S' = [x_2 ... x_l], the
 best-fit operator is A = S' S^+.  The algorithm never forms A; it works
 with the truncated SVD S ~ U_r Sigma_r V_r* and the projected operator
 A_tilde = U_r* S' V_r Sigma_r^{-1}, whose eigenpairs give the modes,
@@ -10,15 +10,23 @@ forecasting:
 
     x_{k+1} ~ Theta Lambda^k b,      b = Theta^+ x_1.
 
+Only the R factor of X = Q R touches all n rows (Sayadi & Schmid 2016).
+It is built by tall-skinny QR, one QR per row block and one of the stacked
+Rs (Demmel et al. 2012), and Q is never formed.  With S = Q R[:, :-1] and
+S' = Q R[:, 1:], the SVD of the l-sized R[:, :-1] gives Sigma_r, V_r and
+U_r = Q U_R, so A_tilde = U_R* R[:, 1:] V_r Sigma_r^{-1}.  Every x_k lies in
+range(Q), so the amplitudes are solved with the l-sized Q* Theta in place of
+Theta.  The modes are the one further product with the data.
+
 When every other eigenvalue lies inside the unit circle, the series tends to
 the fixed point Theta_k b_k of the one eigenvalue lambda_k = 1; fixed_point
 returns that steady state without forecasting (Schmid 2010).
 
 Amplitudes fitted to the whole series solve the stacked Vandermonde
 problem min_b sum_k ||Theta Lambda^k b - x_{k+1}|| (Jovanovic, Schmid &
-Nichols 2014) in the r-dimensional mode space: with Theta = Q R, each term
-equals ||R Lambda^k b - Q* x_{k+1}|| plus a part independent of b, so no
-(n*l x r) stack is ever formed.
+Nichols 2014) in the r-dimensional mode space: with Q* Theta = Q_theta
+R_theta, each term equals ||R_theta Lambda^k b - Q_theta* Q* x_{k+1}|| plus a
+part independent of b, so no (n*l x r) stack is ever formed.
 """
 
 from __future__ import annotations
@@ -85,6 +93,7 @@ class DMDModel:
 
 
 FIXED_POINT_TOL = 1e-6  # |lambda - 1| below which a mode counts as steady
+_BLOCK_ELEMENTS = 2 ** 17  # float64 values per TSQR row block: 1 MB
 
 
 def build_shift_pair(snapshots: SnapshotSet):
@@ -113,6 +122,21 @@ def _select_rank(sigma: np.ndarray, n_positive: int, rank) -> int:
     return int(np.searchsorted(energy, tau - 1e-15) + 1)
 
 
+def _r_factor(data: np.ndarray) -> np.ndarray:
+    """R of data = Q R by tall-skinny QR: one QR per row block, one of the stacked Rs.
+
+    Blocks hold about _BLOCK_ELEMENTS values and at least l rows; Q is never
+    formed.  R is unique up to the signs of its rows.
+    """
+    n, l = data.shape
+    rows = max(l, _BLOCK_ELEMENTS // l)
+    if n <= rows:
+        return np.linalg.qr(data, mode="r")
+    stacked = np.vstack([np.linalg.qr(data[i:i + rows], mode="r")
+                         for i in range(0, n, rows)])
+    return np.linalg.qr(stacked, mode="r")
+
+
 def fit(snapshots: SnapshotSet, rank=None, mode_kind: str = "exact",
         amplitudes_from: str = "x1") -> DMDModel:
     """Fit a DMD model.
@@ -124,52 +148,52 @@ def fit(snapshots: SnapshotSet, rank=None, mode_kind: str = "exact",
 
     mode_kind "exact" computes eigenvectors of the full operator as
     S' V_r Sigma_r^{-1} W; "projected" lifts the low-rank eigenvectors as
-    U_r W.  amplitudes_from "x1" solves Theta b = x_1 (the first snapshot);
-    "series" solves the least-squares problem over all training snapshots,
-    reduced through Theta = Q R to the (l*r x r) system R Lambda^k b = Q* x_k.
-    That is the same problem with the same conditioning; beyond the SVD of
-    the snapshots it needs O(n*r + l*r^2) memory.
+    U_r W = S V_r Sigma_r^{-1} W.  amplitudes_from "x1" solves Theta b = x_1
+    (the first snapshot); "series" solves the least-squares problem over all
+    training snapshots, reduced through Q* Theta = Q_theta R_theta to the
+    (l*r x r) system R_theta Lambda^k b = Q_theta* Q* x_k.
+
+    The rank, spectrum and amplitudes come from the small factor R of the
+    snapshots X = Q R (see the module docstring); the modes are the only
+    other n-row product.  The result agrees with an SVD of the n-row S to
+    rounding, and beyond the data the fit needs O(n*r + l^2) memory.
     """
     if mode_kind not in ("exact", "projected"):
         raise ConfigError(f"mode_kind must be 'exact' or 'projected', got {mode_kind!r}")
-    if not np.any(snapshots.data):
+    if amplitudes_from not in ("x1", "series"):
+        raise ConfigError(f"amplitudes_from must be 'x1' or 'series', got {amplitudes_from!r}")
+    data = snapshots.data
+    if not np.any(data):
         raise DomainError("cannot fit DMD to an all-zero snapshot matrix")
-    s_mat, s_next = build_shift_pair(snapshots)
-    u, sigma, vh = np.linalg.svd(s_mat, full_matrices=False)
-    tol = max(s_mat.shape) * np.finfo(float).eps * (sigma[0] if len(sigma) else 0.0)
+    r_x = _r_factor(data)
+    u, sigma, vh = np.linalg.svd(r_x[:, :-1], full_matrices=False)
+    tol = max(snapshots.n, snapshots.l - 1) * np.finfo(float).eps * sigma[0]
     n_positive = int((sigma > tol).sum())
     if n_positive == 0:
         raise DomainError("shift matrix S is zero; no dynamics to fit")
     r = _select_rank(sigma, n_positive, rank)
 
-    u_r = u[:, :r]
-    v_r = vh[:r].conj().T
-    inv_sigma = 1.0 / sigma[:r]
-    low_rank = u_r.conj().T @ s_next @ (v_r * inv_sigma)
-    lam, w = np.linalg.eig(low_rank)
-    if mode_kind == "exact":
-        modes = s_next @ (v_r * inv_sigma) @ w
-    else:
-        modes = u_r @ w
-
+    lift = vh[:r].T / sigma[:r]  # V_r Sigma_r^{-1}
+    lam, w = np.linalg.eig(u[:, :r].T @ r_x[:, 1:] @ lift)
     # descending |lambda|, ties broken by descending imaginary part
     order = np.lexsort((-lam.imag, -np.abs(lam)))
     lam = lam[order]
-    modes = modes[:, order]
+    # complex even when eig returns a real w, so its float view interleaves
+    # real and imaginary columns: one real product gives the complex modes
+    coef = (lift @ w[:, order]).astype(complex, copy=False)
+    shifted = slice(1, None) if mode_kind == "exact" else slice(None, -1)
+    modes = (data[:, shifted] @ coef.view(float)).view(complex)
+    theta = r_x[:, shifted] @ coef  # Q* Theta: every snapshot lies in range(Q)
 
-    x1 = snapshots.data[:, 0]
     if amplitudes_from == "x1":
-        b = np.linalg.lstsq(modes, x1.astype(complex), rcond=None)[0]
-    elif amplitudes_from == "series":
-        # vandermonde system over the whole training window, projected on range(Q)
-        q, r_fac = np.linalg.qr(modes)
-        data = snapshots.data
-        rhs = q.real.T @ data - 1j * (q.imag.T @ data)  # Q* X without a complex copy of X
-        powers = lam[None, :] ** np.arange(snapshots.l)[:, None]
-        lhs = (r_fac[None, :, :] * powers[:, None, :]).reshape(-1, r)
-        b = np.linalg.lstsq(lhs, rhs.T.reshape(-1), rcond=None)[0]
+        b = np.linalg.lstsq(theta, r_x[:, 0], rcond=None)[0]
     else:
-        raise ConfigError(f"amplitudes_from must be 'x1' or 'series', got {amplitudes_from!r}")
+        # vandermonde system over the whole training window, projected on range(Q Q_theta)
+        q_theta, r_theta = np.linalg.qr(theta)
+        rhs = q_theta.conj().T @ r_x
+        powers = lam[None, :] ** np.arange(snapshots.l)[:, None]
+        lhs = (r_theta[None, :, :] * powers[:, None, :]).reshape(-1, r)
+        b = np.linalg.lstsq(lhs, rhs.T.reshape(-1), rcond=None)[0]
 
     return DMDModel(modes=modes, eigenvalues=lam, amplitudes=b, rank=r,
                     t0=snapshots.t0, dt=snapshots.dt, mode_kind=mode_kind)
@@ -264,7 +288,7 @@ def load_snapshots_bin(path) -> SnapshotSet:
         raise ConfigError(
             f"{path}: expected {expected} bytes for a {n} x {l} series, got {len(raw)}"
         )
-    data = np.frombuffer(raw[24:], dtype="<f8").reshape(n, l)
+    data = np.frombuffer(raw, dtype="<f8", offset=24).reshape(n, l)
     return SnapshotSet(data, t0=0.0, dt=dt)
 
 

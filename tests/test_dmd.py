@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from morphreduce.dmd import (FIXED_POINT_TOL, DMDModel, SnapshotSet, build_shift_pair,
-                             fit, fixed_point, load_model_json, load_snapshots_bin,
-                             load_snapshots_csv, predict_next, predict_at_time,
-                             reconstruct_series, save_model_json, save_snapshots_bin,
-                             save_snapshots_csv, training_error)
+from morphreduce import dmd
+from morphreduce.dmd import (FIXED_POINT_TOL, DMDModel, SnapshotSet, _r_factor, _select_rank,
+                             build_shift_pair, fit, fixed_point, load_model_json,
+                             load_snapshots_bin, load_snapshots_csv, predict_next,
+                             predict_at_time, reconstruct_series, save_model_json,
+                             save_snapshots_bin, save_snapshots_csv, training_error)
 from morphreduce.errors import ConfigError, DomainError
 from morphreduce.surrogate import TimeSeriesMode, TimeSeriesSpec, generate_timeseries
 
@@ -239,15 +240,17 @@ class TestOperatorProperties:
                 assert np.min(np.abs(lam - np.conj(z))) < 1e-10
 
     def test_exact_and_projected_modes_span_same_subspace(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((5, 5)) * 0.4
-        snaps = linear_system_series(a, rng.standard_normal(5), 12)
-        exact = fit(snaps, rank="full", mode_kind="exact")
-        proj = fit(snaps, rank="full", mode_kind="projected")
-        q1 = np.linalg.qr(exact.modes)[0]
-        q2 = np.linalg.qr(proj.modes)[0]
-        angles = np.arccos(np.clip(np.linalg.svd(q1.conj().T @ q2)[1], -1.0, 1.0))
-        assert angles.max() < 1e-8
+        # sine of the largest principal angle: arccos of the cosines resolves
+        # only sqrt(eps) near zero
+        for seed in (13, *range(100, 140)):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((5, 5)) * 0.4
+            snaps = linear_system_series(a, rng.standard_normal(5), 12)
+            exact = fit(snaps, rank="full", mode_kind="exact")
+            proj = fit(snaps, rank="full", mode_kind="projected")
+            q1 = np.linalg.qr(exact.modes)[0]
+            q2 = np.linalg.qr(proj.modes)[0]
+            assert np.linalg.norm(q2 - q1 @ (q1.conj().T @ q2), 2) <= 1e-12, seed
 
     def test_amplitudes_from_series_variant(self):
         snaps, _ = rotation_series(l=15)
@@ -276,6 +279,12 @@ def conjugate_pair_series(rng, n_pairs, n, l):
     return SnapshotSet(rng.standard_normal((n, 2 * n_pairs)) @ latent, t0=7.0, dt=0.1)
 
 
+def conjugate_pair_cases():
+    rng = np.random.default_rng(21)
+    return [conjugate_pair_series(rng, n_pairs=3, n=int(rng.integers(8, 40)),
+                                  l=int(rng.integers(10, 40))) for _ in range(8)]
+
+
 def transient_series(n, l, seed=0):
     """Offset plus three damped oscillations over n channels (a relaxing flow)."""
     rng = np.random.default_rng(seed)
@@ -291,10 +300,7 @@ class TestSeriesAmplitudes:
     @pytest.mark.parametrize("mode_kind", ["exact", "projected"])
     @pytest.mark.parametrize("rank", ["full", 4])
     def test_match_stacked_vandermonde_reference(self, rank, mode_kind):
-        rng = np.random.default_rng(21)
-        for trial in range(8):
-            snaps = conjugate_pair_series(rng, n_pairs=3, n=int(rng.integers(8, 40)),
-                                          l=int(rng.integers(10, 40)))
+        for snaps in conjugate_pair_cases():
             model = fit(snaps, rank=rank, mode_kind=mode_kind, amplitudes_from="series")
             assert model.rank == (6 if rank == "full" else rank)
             assert np.sum(np.abs(model.eigenvalues.imag) > 1e-8) >= 2
@@ -303,14 +309,91 @@ class TestSeriesAmplitudes:
             assert err <= 1e-12
 
     def test_memory_is_not_stacked(self):
+        # the (n*l x r) complex stack alone would be 45 MB; any n x l copy of
+        # the data, real or complex, would also break the bound
         snaps = transient_series(5000, 81)
-        tracemalloc.start()
-        try:
-            fit(snaps, amplitudes_from="series")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * snaps.data.nbytes  # the (n*l x r) complex stack alone is 45 MB
+        for mode_kind, amplitudes_from in (("exact", "x1"), ("exact", "series"),
+                                           ("projected", "x1")):
+            tracemalloc.start()
+            try:
+                fit(snaps, mode_kind=mode_kind, amplitudes_from=amplitudes_from)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < snaps.data.nbytes, (mode_kind, amplitudes_from)
+
+
+def svd_fit(snapshots, rank, mode_kind, amplitudes_from):
+    """DMD fit through the SVD of the n-row shift matrix S, as fit was before
+    it worked from the R factor of the snapshots."""
+    s_mat, s_next = build_shift_pair(snapshots)
+    u, sigma, vh = np.linalg.svd(s_mat, full_matrices=False)
+    tol = max(s_mat.shape) * np.finfo(float).eps * sigma[0]
+    r = _select_rank(sigma, int((sigma > tol).sum()), rank)
+    u_r, v_r, inv_sigma = u[:, :r], vh[:r].conj().T, 1.0 / sigma[:r]
+    lam, w = np.linalg.eig(u_r.conj().T @ s_next @ (v_r * inv_sigma))
+    modes = s_next @ (v_r * inv_sigma) @ w if mode_kind == "exact" else u_r @ w
+    order = np.lexsort((-lam.imag, -np.abs(lam)))
+    lam, modes = lam[order], modes[:, order]
+    if amplitudes_from == "x1":
+        b = np.linalg.lstsq(modes, snapshots.data[:, 0].astype(complex), rcond=None)[0]
+    else:
+        q, r_fac = np.linalg.qr(modes)
+        rhs = q.conj().T @ snapshots.data
+        powers = lam[None, :] ** np.arange(snapshots.l)[:, None]
+        lhs = (r_fac[None, :, :] * powers[:, None, :]).reshape(-1, r)
+        b = np.linalg.lstsq(lhs, rhs.T.reshape(-1), rcond=None)[0]
+    return DMDModel(modes=modes, eigenvalues=lam, amplitudes=b, rank=r,
+                    t0=snapshots.t0, dt=snapshots.dt, mode_kind=mode_kind)
+
+
+class TestRFactor:
+    @pytest.mark.parametrize("block_elements", [None, 100])  # 100 < l**2: blocks of l rows
+    def test_row_blocks_give_the_r_of_x(self, monkeypatch, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(dmd, "_BLOCK_ELEMENTS", block_elements)
+        l = 12 if block_elements else 50
+        rows = max(l, dmd._BLOCK_ELEMENTS // l)
+        n = 3 * rows + l // 2
+        x = np.random.default_rng(31).standard_normal((n, l)) * np.logspace(0, -6, l)
+        reference = np.linalg.qr(x, mode="r")
+        shapes = []
+        qr = np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            shapes.append(a.shape)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        r_x = _r_factor(x)
+        assert shapes == [(rows, l)] * 3 + [(l // 2, l), (3 * l + l // 2, l)]
+        scale = np.linalg.norm(x, 2)
+        assert np.abs(r_x.T @ r_x - x.T @ x).max() <= 1e-13 * scale ** 2
+        assert np.abs(np.abs(r_x) - np.abs(reference)).max() <= 1e-13 * scale
+
+        shapes.clear()
+        _r_factor(x[:rows])
+        assert shapes == [(rows, l)]
+
+
+class TestAgainstSvdFit:
+    @pytest.mark.parametrize("amplitudes_from", ["x1", "series"])
+    @pytest.mark.parametrize("mode_kind", ["exact", "projected"])
+    @pytest.mark.parametrize("case", ["transient", "pairs-full", "pairs-rank4"])
+    def test_same_model_to_rounding(self, case, mode_kind, amplitudes_from):
+        if case == "transient":
+            cases, rank = [transient_series(5000, 81)], None
+        else:
+            cases, rank = conjugate_pair_cases(), ("full" if case == "pairs-full" else 4)
+        for snaps in cases:
+            model = fit(snaps, rank=rank, mode_kind=mode_kind,
+                        amplitudes_from=amplitudes_from)
+            expected = svd_fit(snaps, rank, mode_kind, amplitudes_from)
+            assert model.rank == expected.rank
+            assert np.abs(model.eigenvalues - expected.eigenvalues).max() <= 1e-12
+            got = reconstruct_series(model, snaps.l - 1)
+            want = reconstruct_series(expected, snaps.l - 1)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestPersistence:
