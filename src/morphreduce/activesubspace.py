@@ -7,6 +7,7 @@ covariance E[grad f grad f^T], estimated here by the Monte Carlo average
 [-1, 1]^m before any gradient or covariance work, and all reported
 quantities (eigenvectors, projections, surfaces) live in that normalized
 space.  Tables without bounds are taken to be already normalized.
+Every analysis option lives in one frozen AnalysisSettings, checked when built.
 """
 
 from __future__ import annotations
@@ -18,16 +19,49 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _is_real, _require_int
 from .textio import read_csv, write_csv
 
 __all__ = [
-    "SampleTable", "ASDecomposition", "ResponseSurface",
+    "AnalysisSettings", "SampleTable", "ASDecomposition", "ResponseSurface",
     "estimate_gradients", "estimate_covariance", "decompose",
     "choose_active_dimension", "fit_response_surface", "evaluate_surface",
     "replicated_errors", "analyze_table", "plot_data", "surface_to_doc",
     "load_sample_table", "save_sample_table",
 ]
+
+
+@dataclass(frozen=True)
+class AnalysisSettings:
+    """Options of analyze_table, fit_response_surface and replicated_errors,
+    each checked once, here; choose_active_dimension checks explicit_dim < m."""
+
+    degree: int = 4
+    split_fraction: float = 0.75
+    n_boot: int = 100
+    seed: int = 0
+    split_seed: int = 0
+    rule: str = "largest-gap"
+    explicit_dim: int | None = None
+    n_replicates: int = 10
+
+    RULES = ("largest-gap", "explicit", "threshold")
+
+    def __post_init__(self):
+        _require_int("analysis degree", self.degree, 1, 6)
+        for name in ("n_boot", "seed", "split_seed"):
+            _require_int(f"analysis {name}", getattr(self, name), 0)
+        _require_int("analysis n_replicates", self.n_replicates, 1)
+        if self.explicit_dim is not None:
+            _require_int("analysis explicit_dim", self.explicit_dim, 1)
+        if self.rule not in self.RULES:
+            raise ConfigError(f"analysis rule must be one of {', '.join(self.RULES)}, "
+                              f"got {self.rule!r}")
+        if self.rule == "explicit" and self.explicit_dim is None:
+            raise ConfigError("analysis explicit_dim must be set for the explicit rule")
+        if not _is_real(self.split_fraction) or not 0.0 < self.split_fraction < 1.0:
+            raise ConfigError("analysis split_fraction must lie in (0, 1), "
+                              f"got {self.split_fraction!r}")
 
 
 @dataclass
@@ -391,20 +425,24 @@ def _normalized_error(rmse: float, outputs: np.ndarray) -> float:
     return 0.0 if rmse <= 1e-12 * max(1.0, np.abs(outputs).max()) else np.inf
 
 
+def _fit_and_score(train_actives, test_actives, f, train, test, degree: int):
+    """(surface, condition, test RMSE, normalized test error) of a fit on the
+    training actives; callers project their own rows (BLAS rounding varies)."""
+    surface, condition = _fit_surface(train_actives, f[train], degree)
+    rmse_test = _rmse(surface, test_actives, f[test])
+    return surface, condition, rmse_test, _normalized_error(rmse_test, f)
+
+
 def fit_response_surface(decomp: ASDecomposition, table: SampleTable,
-                         degree: int = 4, split_seed: int = 0,
-                         train_fraction: float = 0.75):
+                         settings: AnalysisSettings):
     """Least-squares polynomial fit in the active variables on a random split.
 
-    The table is split train/test (default 75%/25%), and the surface is
-    fitted on the training rows only.  The report's normalized test error is
-    the test RMSE divided by the max-min range of the outputs over the whole
-    dataset.  Returns (surface, report dict).
+    The table is split train/test by settings.split_fraction and split_seed,
+    and the surface is fitted on the training rows only.  The report's
+    normalized test error is the test RMSE divided by the max-min range of
+    the outputs over the whole dataset.  Returns (surface, report dict).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train fraction must be in (0, 1), got {train_fraction}")
-    if not 1 <= degree <= 6:
-        raise ConfigError(f"surface degree must be in [1, 6], got {degree}")
+    degree = settings.degree
     w1 = decomp.active_basis()
     m_active = w1.shape[1]
     n_coef = comb(m_active + degree, degree)
@@ -415,19 +453,19 @@ def fit_response_surface(decomp: ASDecomposition, table: SampleTable,
         )
     actives = table.normalized_inputs() @ w1
     f = table.outputs
-    train, test = _split_indices(table.n, train_fraction, split_seed)
-    surface, condition = _fit_surface(actives[train], f[train], degree)
+    train, test = _split_indices(table.n, settings.split_fraction, settings.split_seed)
+    surface, condition, rmse_test, error = _fit_and_score(
+        actives[train], actives[test], f, train, test, degree)
     if condition > 1e10:
         warnings.warn(f"ill-conditioned surface fit (condition ~ {condition:.2e})",
                       stacklevel=2)
-    rmse_test = _rmse(surface, actives[test], f[test])
     report = {
         "n_train": int(len(train)),
         "n_test": int(len(test)),
         "rmse_train": _rmse(surface, actives[train], f[train]),
         "rmse_test": rmse_test,
         "output_range": float(f.max() - f.min()),
-        "normalized_test_error": _normalized_error(rmse_test, f),
+        "normalized_test_error": error,
         "condition": condition,
         "degree": degree,
         "active_dim": m_active,
@@ -435,31 +473,29 @@ def fit_response_surface(decomp: ASDecomposition, table: SampleTable,
     return surface, report
 
 
-def replicated_errors(table: SampleTable, degree: int = 4, active_rule: str = "largest-gap",
-                      explicit_dim: int | None = None, n_replicates: int = 10,
-                      seed: int = 0, train_fraction: float = 0.75) -> list:
-    """Normalized test errors over independent train/test splits.
+def replicated_errors(table: SampleTable, settings: AnalysisSettings) -> list:
+    """Normalized test errors over settings.n_replicates independent splits.
 
-    Each replicate re-splits the data, re-estimates the decomposition from
-    the training rows only, refits the surface and scores the test rows, so
-    the average reflects both eigenvector and surface variability.
+    Each replicate re-splits the data, re-estimates the eigenpairs from the
+    training rows' gradients only, refits the surface and scores the test
+    rows, so the average reflects both eigenvector and surface variability.
+    The replicates' covariances are eigendecomposed as one stack.
     """
-    if table.gradients is None:
-        raise DomainError("replicated_errors needs a table with gradients")
-    x, f = table.normalized_inputs(), table.outputs
+    x, f, g = table.normalized_inputs(), table.outputs, table.normalized_gradients()
+    seeds = (np.random.SeedSequence([settings.seed, rep]).generate_state(1)[0]
+             for rep in range(settings.n_replicates))
+    splits = [_split_indices(table.n, settings.split_fraction, int(seed)) for seed in seeds]
+    rows = (g[train] for train, _ in splits)  # r.T @ r of one buffer, as decompose forms it
+    lams, vecs = _sorted_eig(np.stack([r.T @ r / len(r) for r in rows]))
     errors = []
-    for rep in range(n_replicates):
-        split_seed_entropy = np.random.SeedSequence([seed, rep]).generate_state(1)[0]
-        train, test = _split_indices(table.n, train_fraction, int(split_seed_entropy))
-        sub = SampleTable(table.inputs[train], f[train], table.gradients[train], table.bounds)
-        decomp = decompose(sub, n_boot=0)
-        decomp.active_dim = choose_active_dimension(decomp, active_rule,
-                                                    explicit=explicit_dim)
+    for (train, test), lam, vec in zip(splits, lams, vecs):
+        decomp = ASDecomposition(lam, vec)
+        decomp.active_dim = choose_active_dimension(decomp, settings.rule, settings.explicit_dim)
         w1 = decomp.active_basis()
         # project each row subset on its own: BLAS rounding depends on row
         # position, and this keeps earlier replicate errors bit-identical
-        surface, _ = _fit_surface(x[train] @ w1, f[train], degree)
-        errors.append(_normalized_error(_rmse(surface, x[test] @ w1, f[test]), f))
+        errors.append(_fit_and_score(x[train] @ w1, x[test] @ w1, f, train, test,
+                                     settings.degree)[3])
     return errors
 
 
@@ -474,10 +510,7 @@ def surface_to_doc(surface: ResponseSurface) -> dict:
     }
 
 
-def analyze_table(table: SampleTable, degree: int = 4, n_boot: int = 100,
-                  seed: int = 0, split_seed: int = 0, train_fraction: float = 0.75,
-                  rule: str = "largest-gap", explicit_dim: int | None = None,
-                  n_replicates: int = 10):
+def analyze_table(table: SampleTable, settings: AnalysisSettings = AnalysisSettings()):
     """Full single-output analysis: gradients, eigenpairs, surface, errors.
 
     Gradients are estimated by local-linear regression when the table has
@@ -487,8 +520,9 @@ def analyze_table(table: SampleTable, degree: int = 4, n_boot: int = 100,
     """
     if table.gradients is None:
         table = estimate_gradients(table)
-    decomp = decompose(table, n_boot=n_boot, seed=seed)
-    decomp.active_dim = choose_active_dimension(decomp, rule, explicit=explicit_dim)
+    decomp = decompose(table, n_boot=settings.n_boot, seed=settings.seed)
+    decomp.active_dim = choose_active_dimension(decomp, settings.rule,
+                                                explicit=settings.explicit_dim)
     lam = decomp.eigenvalues
     out_range = float(table.outputs.max() - table.outputs.min())
     if out_range == 0.0 or lam[0] <= (1e-10 * max(out_range, 1e-300)) ** 2:
@@ -509,12 +543,8 @@ def analyze_table(table: SampleTable, degree: int = 4, n_boot: int = 100,
     }
     surface = None
     if structure != "none":
-        surface, fit_report = fit_response_surface(
-            decomp, table, degree=degree, split_seed=split_seed,
-            train_fraction=train_fraction)
-        errors = replicated_errors(
-            table, degree=degree, active_rule=rule, explicit_dim=explicit_dim,
-            n_replicates=n_replicates, seed=seed, train_fraction=train_fraction)
+        surface, fit_report = fit_response_surface(decomp, table, settings)
+        errors = replicated_errors(table, settings)
         report["surface"] = fit_report
         report["replicate_errors"] = errors
         report["mean_normalized_error"] = float(np.mean(errors))

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import activesubspace as asub
 from . import dmd
-from .errors import ConfigError, DomainError
+from .activesubspace import AnalysisSettings
+from .errors import ConfigError, DomainError, _is_real, _require_int
 from .ffd import apply_parameters, deform_mesh, load_ffd_json, sample_parameters
 from .geometry import TriMesh, load_mesh, save_mesh, volume_centroid
 from .surrogate import (ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec,
@@ -69,45 +70,6 @@ class DMDSettings:
     @property
     def n_snapshots(self) -> int:
         return int(round((self.window_end - self.window_start) / self.dt)) + 1
-
-
-@dataclass
-class AnalysisSettings:
-    degree: int = 4
-    split_fraction: float = 0.75
-    n_boot: int = 100
-    seed: int = 0
-    split_seed: int = 0
-    rule: str = "largest-gap"
-    explicit_dim: int | None = None
-    n_replicates: int = 10
-
-    RULES = ("largest-gap", "explicit", "threshold")
-
-    def __post_init__(self):
-        _require_int("analysis degree", self.degree, 1, 6)  # the range fit_response_surface accepts
-        for name in ("n_boot", "seed", "split_seed"):
-            _require_int(f"analysis {name}", getattr(self, name), 0)
-        _require_int("analysis n_replicates", self.n_replicates, 1)
-        if self.explicit_dim is not None:
-            _require_int("analysis explicit_dim", self.explicit_dim, 1)
-        if self.rule not in self.RULES:
-            raise ConfigError(f"analysis rule must be one of {', '.join(self.RULES)}, "
-                              f"got {self.rule!r}")
-        if not _is_real(self.split_fraction) or not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError("analysis split_fraction must lie in (0, 1), "
-                              f"got {self.split_fraction!r}")
-
-
-def _is_real(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-
-
-def _require_int(label: str, value, low: int, high: int | None = None) -> None:
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low or (high is not None and value > high)):
-        span = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{label} must be an int {span}, got {value!r}")
 
 
 @dataclass
@@ -498,12 +460,7 @@ def analyze_campaign(records, bounds, settings: AnalysisSettings,
         except KeyError:
             raise DomainError(f"records carry no scalar named {name!r}")
         table = asub.SampleTable(inputs, values, bounds=bounds)
-        entry, decomp, surface = asub.analyze_table(
-            table, degree=settings.degree, n_boot=settings.n_boot,
-            seed=settings.seed, split_seed=settings.split_seed,
-            train_fraction=settings.split_fraction, rule=settings.rule,
-            explicit_dim=settings.explicit_dim,
-            n_replicates=settings.n_replicates)
+        entry, decomp, surface = asub.analyze_table(table, settings)
         if surface is not None:
             surfaces[name] = asub.surface_to_doc(surface)
         report["outputs"][name] = entry

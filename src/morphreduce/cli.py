@@ -147,15 +147,12 @@ def cmd_as_analyze(args) -> int:
     if table.bounds is None and args.bounds is not None:
         table = asub.SampleTable(table.inputs, table.outputs, table.gradients,
                                  _parse_bounds(args.bounds, table.m))
-    # the campaign's rule for every setting, checked before any gradient is computed
-    settings = camp.AnalysisSettings(
+    # every setting is checked here, before any gradient is computed
+    settings = asub.AnalysisSettings(
         degree=args.degree, split_fraction=args.split, n_boot=args.boot,
         seed=_resolve_seed(args), split_seed=args.split_seed, rule=args.rule,
         explicit_dim=args.dim)
-    report, decomp, surface = asub.analyze_table(
-        table, degree=settings.degree, n_boot=settings.n_boot, seed=settings.seed,
-        split_seed=settings.split_seed, train_fraction=settings.split_fraction,
-        rule=settings.rule, explicit_dim=settings.explicit_dim)
+    report, decomp, surface = asub.analyze_table(table, settings)
     doc = dict(report)
     if surface is not None:
         doc["surface_model"] = asub.surface_to_doc(surface)
@@ -236,7 +233,7 @@ def cmd_campaign_run(args) -> int:
 def cmd_campaign_analyze(args) -> int:
     records, bounds, config_doc = camp.load_run_records(args.run_dir)
     try:
-        settings = camp.AnalysisSettings(**config_doc.get("analysis", {}))
+        settings = asub.AnalysisSettings(**config_doc.get("analysis", {}))
         outputs = tuple(config_doc.get("outputs", ("resistance", "trim")))
     except (AttributeError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{Path(args.run_dir) / 'manifest.json'}: bad config "
@@ -297,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--split", type=float, default=0.75)
     p.add_argument("--split-seed", type=_non_negative_int, default=0)
-    p.add_argument("--rule", default="largest-gap",
-                   choices=["largest-gap", "explicit", "threshold"])
+    p.add_argument("--rule", default="largest-gap", choices=asub.AnalysisSettings.RULES)
     p.add_argument("--dim", type=int, default=None,
                    help="active dimension for the explicit rule")
     p.add_argument("--bounds", default=None,

@@ -128,8 +128,7 @@ def evaluate_objective(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
         drag = ittc57_drag(reynolds, spec.density, spec.speed, area)
         return float(drag + spec.volume_coefficient * abs(volume) ** (2.0 / 3.0))
     # external-command
-    value, _ = run_external(spec, mu, mesh=mesh, mesh_path=mesh_path)
-    return value
+    return run_external(spec, mu, mesh=mesh, mesh_path=mesh_path)
 
 
 def objective_gradient(spec: ObjectiveSpec, mu) -> np.ndarray:
@@ -149,11 +148,10 @@ def objective_gradient(spec: ObjectiveSpec, mu) -> np.ndarray:
 
 
 def run_external(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
-                 mesh_path=None):
+                 mesh_path=None) -> float:
     """Invoke ``cmd <mu-csv-file> <deformed-mesh-path>`` and parse its stdout.
 
-    The process must print a scalar; an optional second token is taken as the
-    path of a time-series CSV it produced.  Returns (value, series_path).
+    The process must print a scalar as its first token; the value is returned.
     """
     from .geometry import save_mesh  # local import to avoid cycle at module load
 
@@ -179,12 +177,10 @@ def run_external(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
         if not tokens:
             raise EvaluatorError("external evaluator printed no output")
         try:
-            value = float(tokens[0])
+            return float(tokens[0])
         except ValueError:
             raise EvaluatorError(
                 f"external evaluator output {tokens[0]!r} is not a scalar")
-        series_path = tokens[1] if len(tokens) > 1 else None
-        return value, series_path
 
 
 # --- synthetic time series ------------------------------------------------

@@ -154,7 +154,8 @@ def test_criterion_06_response_surface_metric():
     table = asub.SampleTable(mus, f, g, bounds=BOUNDS8)
     decomp = asub.decompose(table, n_boot=0)
     decomp.active_dim = 1
-    _, clean_report = asub.fit_response_surface(decomp, table, degree=4, split_seed=2)
+    _, clean_report = asub.fit_response_surface(decomp, table,
+                                                asub.AnalysisSettings(split_seed=2))
     clean_err = clean_report["normalized_test_error"]
     assert clean_err < 1e-6
 
@@ -176,8 +177,8 @@ def test_criterion_06_response_surface_metric():
         table = asub.SampleTable(mus, f, g, bounds=BOUNDS8)
         decomp = asub.decompose(table, n_boot=0)
         decomp.active_dim = 1
-        _, report = asub.fit_response_surface(decomp, table, degree=4,
-                                              split_seed=300 + rep)
+        _, report = asub.fit_response_surface(
+            decomp, table, asub.AnalysisSettings(split_seed=300 + rep))
         noisy_errors.append(report["normalized_test_error"])
     assert all(0.03 <= e <= 0.08 for e in noisy_errors)
     ok(6, f"noiseless {clean_err:.1e}; noisy band "

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from morphreduce.activesubspace import (_nearest, _neighbor_blocks, _sorted_eig,
-                                        ASDecomposition, SampleTable, analyze_table,
-                                        choose_active_dimension, decompose,
+                                        AnalysisSettings, ASDecomposition, SampleTable,
+                                        analyze_table, choose_active_dimension, decompose,
                                         estimate_covariance, estimate_gradients,
                                         evaluate_surface, fit_response_surface,
                                         load_sample_table, replicated_errors,
@@ -27,6 +27,18 @@ def ridge_table(n=300, m=5, seed=0, bounds_half=1.0, exact=True):
     f = (x @ c) ** 2 + 0.5 * (x @ c)
     g = (2.0 * (x @ c) + 0.5)[:, None] * c if exact else None
     return SampleTable(x, f, g, bounds=box_bounds(m, bounds_half)), c
+
+
+def exp_ridge_table():
+    """exp(0.8 c.x) plus noise on [-1, 1]^4, with the noise-free gradients."""
+    rng = np.random.default_rng(28)
+    m, n = 4, 160
+    c = rng.standard_normal(m)
+    c /= np.linalg.norm(c)
+    x = rng.uniform(-1, 1, (n, m))
+    f = np.exp(0.8 * (x @ c)) + 0.05 * rng.standard_normal(n)
+    return SampleTable(x, f, (0.8 * np.exp(0.8 * (x @ c)))[:, None] * c,
+                       bounds=box_bounds(m))
 
 
 class TestGradientEstimation:
@@ -401,7 +413,7 @@ class TestResponseSurface:
         table, c = ridge_table(n=250, m=5, seed=13)
         dec = decompose(table, n_boot=0)
         dec.active_dim = 1
-        surface, report = fit_response_surface(dec, table, degree=4, split_seed=1)
+        surface, report = fit_response_surface(dec, table, AnalysisSettings(split_seed=1))
         assert report["normalized_test_error"] < 1e-8
 
     def test_constant_outputs(self):
@@ -409,7 +421,7 @@ class TestResponseSurface:
         x = rng.uniform(-1, 1, (60, 3))
         table = SampleTable(x, np.full(60, 2.5), np.zeros((60, 3)))
         dec = ASDecomposition(np.array([1.0, 0.5, 0.1]), np.eye(3), active_dim=1)
-        surface, report = fit_response_surface(dec, table, degree=2)
+        surface, report = fit_response_surface(dec, table, AnalysisSettings(degree=2))
         assert report["normalized_test_error"] == 0.0
         assert evaluate_surface(surface, np.array([0.37])) == pytest.approx(2.5)
 
@@ -424,7 +436,7 @@ class TestResponseSurface:
         table = SampleTable(x, f, g)
         dec = decompose(table, n_boot=0)
         dec.active_dim = 1
-        surface, report = fit_response_surface(dec, table, degree=4, split_seed=3)
+        surface, report = fit_response_surface(dec, table, AnalysisSettings(split_seed=3))
         # independent oracle: raw-monomial normal equations on the same split
         from morphreduce.activesubspace import _split_indices
         train, test = _split_indices(n, 0.75, 3)
@@ -454,7 +466,7 @@ class TestResponseSurface:
         x = rng.uniform(-1, 1, (50, 2))
         table = SampleTable(x, x[:, 0], np.tile([1.0, 0.0], (50, 1)))
         dec = ASDecomposition(np.array([1.0, 0.0]), np.eye(2), active_dim=1)
-        surface, _ = fit_response_surface(dec, table, degree=1)
+        surface, _ = fit_response_surface(dec, table, AnalysisSettings(degree=1))
         assert evaluate_surface(surface, np.array([0.2])) == pytest.approx(0.2, abs=1e-10)
 
     def test_coefficient_count_invariant(self):
@@ -471,7 +483,8 @@ class TestResponseSurface:
         dec.active_dim = 1
         prev = np.inf
         for d in range(1, 6):
-            _, report = fit_response_surface(dec, noisy, degree=d, split_seed=5)
+            _, report = fit_response_surface(dec, noisy,
+                                               AnalysisSettings(degree=d, split_seed=5))
             assert report["rmse_train"] <= prev + 1e-12
             prev = report["rmse_train"]
 
@@ -480,13 +493,13 @@ class TestResponseSurface:
         dec = decompose(table, n_boot=0)
         dec.active_dim = 2
         with pytest.raises(DomainError):
-            fit_response_surface(dec, table, degree=4)
+            fit_response_surface(dec, table, AnalysisSettings())
 
     def test_surface_doc_round_trip(self):
         table, _ = ridge_table(n=100, m=3, seed=20)
         dec = decompose(table, n_boot=0)
         dec.active_dim = 1
-        surface, _ = fit_response_surface(dec, table, degree=3)
+        surface, _ = fit_response_surface(dec, table, AnalysisSettings(degree=3))
         doc = json.loads(json.dumps(surface_to_doc(surface)))  # as surface.json holds it
         back = ResponseSurface(doc["degree"], doc["active_dim"],
                                np.array(doc["coefficients"]), np.array(doc["center"]),
@@ -499,7 +512,7 @@ class TestResponseSurface:
 class TestAnalyzeTable:
     def test_ridge_report(self):
         table, _ = ridge_table(n=150, m=4, seed=21)
-        report, dec, surface = analyze_table(table, n_boot=20, seed=1)
+        report, dec, surface = analyze_table(table, AnalysisSettings(n_boot=20, seed=1))
         assert report["active_dim"] == 1
         assert report["structure"] == "strong"
         assert report["gap_ratio"] > 1e3
@@ -510,7 +523,7 @@ class TestAnalyzeTable:
         rng = np.random.default_rng(22)
         x = rng.uniform(-1, 1, (60, 3))
         report, _, surface = analyze_table(
-            SampleTable(x, np.full(60, 1.0)), n_boot=10)
+            SampleTable(x, np.full(60, 1.0)), AnalysisSettings(n_boot=10))
         assert report["structure"] == "none"
         assert surface is None
 
@@ -519,7 +532,7 @@ class TestAnalyzeTable:
         x = rng.uniform(-1, 1, (400, 4))
         f = np.sum(x ** 2, axis=1)
         g = 2.0 * x
-        report, _, _ = analyze_table(SampleTable(x, f, g), n_boot=10)
+        report, _, _ = analyze_table(SampleTable(x, f, g), AnalysisSettings(n_boot=10))
         assert report["structure"] == "weak"
         assert report["gap_ratio"] < 10.0
 
@@ -527,34 +540,68 @@ class TestAnalyzeTable:
 class TestReplicatedErrors:
     def test_clean_ridge_low_error(self):
         table, _ = ridge_table(n=200, m=4, seed=24)
-        errors = replicated_errors(table, degree=4, n_replicates=5, seed=2)
+        errors = replicated_errors(table, AnalysisSettings(n_replicates=5, seed=2))
         assert len(errors) == 5
         assert max(errors) < 1e-6
 
     def test_each_entry_is_a_fit_response_surface_error(self):
         from morphreduce.activesubspace import _split_indices
-        rng = np.random.default_rng(28)
-        m, n = 4, 160
-        c = rng.standard_normal(m)
-        c /= np.linalg.norm(c)
-        x = rng.uniform(-1, 1, (n, m))
-        f = np.exp(0.8 * (x @ c)) + 0.05 * rng.standard_normal(n)
-        table = SampleTable(x, f, (0.8 * np.exp(0.8 * (x @ c)))[:, None] * c,
-                            bounds=box_bounds(m))
-        errors = replicated_errors(table, degree=2, n_replicates=4, seed=5)
+        table = exp_ridge_table()
+        x, f = table.inputs, table.outputs
+        errors = replicated_errors(table, AnalysisSettings(degree=2, n_replicates=4, seed=5))
         for rep, error in enumerate(errors):
             split_seed = int(np.random.SeedSequence([5, rep]).generate_state(1)[0])
-            train, _ = _split_indices(n, 0.75, split_seed)
+            train, _ = _split_indices(table.n, 0.75, split_seed)
             dec = decompose(SampleTable(x[train], f[train], table.gradients[train],
                                         table.bounds), n_boot=0)
             dec.active_dim = choose_active_dimension(dec)
-            _, report = fit_response_surface(dec, table, degree=2, split_seed=split_seed)
+            _, report = fit_response_surface(
+                dec, table, AnalysisSettings(degree=2, split_seed=split_seed))
             assert error == pytest.approx(report["normalized_test_error"], rel=1e-12)
+
+    @pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
+    @pytest.mark.parametrize("make_table, settings", [
+        (lambda: ridge_table(n=200, m=4, seed=24, bounds_half=0.3)[0],
+         AnalysisSettings(n_replicates=5, seed=2)),
+        (lambda: ridge_table(n=200, m=4, seed=24, bounds_half=0.3)[0],
+         AnalysisSettings(degree=3, rule="explicit", explicit_dim=2, seed=7,
+                          split_fraction=0.6)),
+        (exp_ridge_table, AnalysisSettings(degree=2, n_replicates=4, seed=5)),
+        (exp_ridge_table, AnalysisSettings(degree=3, rule="threshold", seed=1)),
+        # long enough that r.T @ r of two copies of r rounds unlike that of one buffer
+        (lambda: ridge_table(n=600, m=3, seed=24, bounds_half=0.3)[0],
+         AnalysisSettings(seed=2)),
+    ], ids=["ridge", "ridge-explicit", "exp", "exp-threshold", "ridge-600"])
+    def test_matches_per_replicate_decompose_bitwise(self, make_table, settings, bounded):
+        table = make_table()
+        if not bounded:
+            table = SampleTable(table.inputs, table.outputs, table.gradients)
+        assert replicated_errors(table, settings) == per_replicate_errors(table, settings)
 
     def test_requires_gradients(self):
         rng = np.random.default_rng(25)
         with pytest.raises(DomainError):
-            replicated_errors(SampleTable(rng.random((30, 2)), np.zeros(30)))
+            replicated_errors(SampleTable(rng.random((30, 2)), np.zeros(30)),
+                              AnalysisSettings())
+
+
+def per_replicate_errors(table, settings):
+    """replicated_errors with a SampleTable and a decompose per replicate."""
+    from morphreduce.activesubspace import _fit_surface, _split_indices
+    x, f = table.normalized_inputs(), table.outputs
+    errors = []
+    for rep in range(settings.n_replicates):
+        split_seed = int(np.random.SeedSequence([settings.seed, rep]).generate_state(1)[0])
+        train, test = _split_indices(table.n, settings.split_fraction, split_seed)
+        sub = SampleTable(table.inputs[train], f[train], table.gradients[train], table.bounds)
+        dec = decompose(sub, n_boot=0)
+        dec.active_dim = choose_active_dimension(dec, settings.rule,
+                                                 explicit=settings.explicit_dim)
+        w1 = dec.active_basis()
+        surface, _ = _fit_surface(x[train] @ w1, f[train], settings.degree)
+        rmse = float(np.sqrt(np.mean((evaluate_surface(surface, x[test] @ w1) - f[test]) ** 2)))
+        errors.append(rmse / float(f.max() - f.min()))
+    return errors
 
 
 class TestCsvPersistence:

@@ -77,11 +77,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("degree", 1), ("degree", 6), ("degree", np.int64(3)), ("n_boot", 0),
-        ("n_replicates", 1), ("rule", "explicit"), ("rule", "threshold"),
-        ("explicit_dim", 2), ("split_fraction", 0.5),
+        ("n_replicates", 1), ("rule", "threshold"), ("explicit_dim", 2),
+        ("split_fraction", 0.5),
     ])
     def test_analysis_field_limits_accepted(self, field, value):
         assert getattr(AnalysisSettings(**{field: value}), field) == value
+
+    def test_explicit_rule_accepted_with_its_dimension(self):
+        settings = AnalysisSettings(rule="explicit", explicit_dim=2)
+        assert (settings.rule, settings.explicit_dim) == ("explicit", 2)
+
+    def test_analysis_settings_frozen_after_checks(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            AnalysisSettings().degree = 9
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "campaign seed must be an int >= 0, got -1"),
@@ -115,12 +123,15 @@ class TestConfig:
          "campaign transient mode must map growth, frequency and optionally amplitude"),
         ("transient_modes", [[-0.3, 2.0]],
          "campaign transient mode must map growth, frequency and optionally amplitude"),
+        ("analysis", {"rule": "explicit"},
+         "analysis explicit_dim must be set for the explicit rule"),
     ], ids=["seed-negative", "seed-float", "seed-bool", "outputs-string", "outputs-number",
             "time-resolved-string", "time-resolved-int", "dmd-dt-nan", "dmd-end-inf",
             "dmd-start-string", "dmd-one-snapshot", "samples-float", "samples-zero",
             "samples-string", "channels-float", "channels-zero", "channels-bool",
             "modes-object", "modes-growth-string", "modes-no-frequency", "modes-unknown-key",
-            "modes-amplitude-nan", "modes-frequency-bool", "modes-list-entry"])
+            "modes-amplitude-nan", "modes-frequency-bool", "modes-list-entry",
+            "analysis-explicit-without-dim"])
     def test_every_campaign_field_validated(self, workspace, key, value, message):
         tmp_path, _, _ = workspace
         doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,

@@ -351,9 +351,10 @@ class TestAsCommand:
         (["--split", "1.5"], "analysis split_fraction must lie in (0, 1), got 1.5"),
         (["--degree", "9"], "analysis degree must be an int in [1, 6], got 9"),
         (["--dim", "0"], "analysis explicit_dim must be an int >= 1, got 0"),
-    ], ids=["split", "degree", "dim"])
+        (["--rule", "explicit"], "analysis explicit_dim must be set for the explicit rule"),
+    ], ids=["split", "degree", "dim", "explicit-without-dim"])
     def test_bad_setting_rejected_before_analysis(self, tmp_path, flags, message):
-        # a constant output never reaches the surface fit, which checks these too
+        # a constant output never reaches the surface fit
         rng = np.random.default_rng(4)
         table_path = tmp_path / "const.csv"
         save_sample_table(SampleTable(rng.uniform(-1, 1, (40, 3)), np.ones(40)), table_path)

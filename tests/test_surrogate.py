@@ -147,13 +147,12 @@ class TestExternalCommand:
         value = evaluate_objective(spec, [0.5, 1.25, -0.25], mesh_path=mesh_path)
         assert value == pytest.approx(1.5)
 
-    def test_series_path_reported(self, tmp_path):
+    def test_value_is_first_token(self, tmp_path):
         cmd = self.write_script(tmp_path, "print('3.5 /tmp/series.csv')\n")
         mesh_path = tmp_path / "mesh.obj"
         save_mesh(icosphere(0), mesh_path)
         spec = ObjectiveSpec("external-command", command=cmd)
-        value, series = run_external(spec, [0.0], mesh_path=mesh_path)
-        assert value == 3.5 and series == "/tmp/series.csv"
+        assert run_external(spec, [0.0], mesh_path=mesh_path) == 3.5
 
     def test_nonzero_exit_raises(self, tmp_path):
         cmd = self.write_script(tmp_path, "import sys; sys.exit(3)\n")
