@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -34,7 +35,7 @@ __all__ = [
 @dataclass(frozen=True)
 class AnalysisSettings:
     """Options of analyze_table, fit_response_surface and replicated_errors,
-    each checked once, here; choose_active_dimension checks explicit_dim < m."""
+    each checked once, here; check_dimension checks explicit_dim < m."""
 
     degree: int = 4
     split_fraction: float = 0.75
@@ -62,6 +63,11 @@ class AnalysisSettings:
         if not _is_real(self.split_fraction) or not 0.0 < self.split_fraction < 1.0:
             raise ConfigError("analysis split_fraction must lie in (0, 1), "
                               f"got {self.split_fraction!r}")
+
+    def check_dimension(self, m: int) -> None:
+        """Raise DomainError when the explicit rule cannot keep explicit_dim of m."""
+        if self.rule == "explicit":
+            _check_explicit_dim(self.explicit_dim, m)
 
 
 @dataclass
@@ -160,7 +166,8 @@ class ASDecomposition:
         return self.eigenvectors[:, :self.active_dim]
 
 
-_BLOCK_ELEMENTS = 2 ** 17  # float64 differences per distance block: 1 MB
+# float64 values of all distance buffers of one row block (rows x N x buffers): 1 MB
+_BLOCK_ELEMENTS = 2 ** 17
 
 
 def estimate_gradients(table: SampleTable, method: str = "local-linear",
@@ -174,10 +181,11 @@ def estimate_gradients(table: SampleTable, method: str = "local-linear",
     the normalized inputs, equal distances by the lower row index (see
     _neighbor_blocks).  The fits of each block of rows are stacked QR
     solves: one QR of the design matrices A = [1, x_j - x_i] with f_j
-    appended, then one solve of R c = Q^T f.  A neighborhood is rank-deficient by lstsq's rule, smallest singular value
-    at most eps * max(k, m + 1) times the largest, and the gradients agree
-    with a per-row lstsq to rounding, not bit for bit.  finite-difference
-    runs central differences with the given evaluator callback f(mu) -> scalar.
+    appended, then one solve of R c = Q^T f.  A neighborhood is
+    rank-deficient by lstsq's rule, smallest singular value at most
+    eps * max(k, m + 1) times the largest, and the gradients agree with a
+    per-row lstsq to rounding, not bit for bit.  finite-difference runs
+    central differences with the given evaluator callback f(mu) -> scalar.
     """
     if method == "finite-difference":
         if evaluator is None:
@@ -226,15 +234,78 @@ def _neighbor_blocks(x: np.ndarray, k: int):
 
     Neighbors are ranked by squared distance, equal distances by the lower
     row index, so each row's indices are np.argsort(d2, kind="stable")[:k]
-    of its row of the full distance matrix.  Distances are formed a block of
-    rows at a time, so memory stays O(N m).
+    of its row of the full distance matrix.
+    """
+    for start, d2 in _distance_blocks(x):
+        yield start, _nearest(d2, k)
+
+
+def _distance_blocks(x: np.ndarray):
+    """Yield (first row, squared distances to every row) for blocks of rows of x.
+
+    A block's distances are summed one parameter column at a time in the
+    order np.add.reduce sums a last axis of length m (see _sum_order), so
+    they equal the full matrix ((x[:, None] - x[None]) ** 2).sum(axis=2) bit
+    for bit.  The column squares and partial sums live in a few (rows, N)
+    buffers allocated once, with rows * N * buffers <= _BLOCK_ELEMENTS, so
+    memory stays O(N m); each yielded block is overwritten by the next.
     """
     n, m = x.shape
-    rows = max(1, _BLOCK_ELEMENTS // (n * m))
+    xt = np.ascontiguousarray(x.T)
+    order = _sum_order(list(range(m)))
+    n_buf = _buffers_needed(order)
+    rows = max(1, _BLOCK_ELEMENTS // (n * n_buf))
+    buffers = np.empty((n_buf, min(rows, n), n))
     for start in range(0, n, rows):
-        diff = x[None, :, :] - x[start:start + rows, None, :]
-        d2 = np.square(diff, out=diff).sum(axis=2)
-        yield start, _nearest(d2, k)
+        bufs = buffers[:, :min(rows, n - start)]
+        _sum_squares(order, bufs, 0, xt, xt[:, start:start + rows, None])
+        yield start, bufs[0]
+
+
+def _chain(terms):
+    """((t0, t1), t2) ...: the terms summed left to right."""
+    return reduce(lambda a, b: (a, b), terms)
+
+
+def _sum_order(cols):
+    """numpy's pairwise summation order of cols as a tree of (left, right) sums.
+
+    np.add.reduce over a contiguous last axis of length n adds n < 8 terms
+    in sequence; 8 <= n <= 128 terms in eight strided lanes, combined as
+    ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)) before the n % 8
+    leftovers are added; and more terms as the sums of two halves split at
+    n // 2 rounded down to a multiple of 8.
+    """
+    n = len(cols)
+    if n < 8:
+        return _chain(cols)
+    if n <= 128:
+        body = n - n % 8
+        ln = [_chain(cols[j:body:8]) for j in range(8)]
+        lanes = (((ln[0], ln[1]), (ln[2], ln[3])), ((ln[4], ln[5]), (ln[6], ln[7])))
+        return _chain([lanes] + cols[body:])
+    half = n // 2 - (n // 2) % 8
+    return _sum_order(cols[:half]), _sum_order(cols[half:])
+
+
+def _buffers_needed(order) -> int:
+    """Buffers _sum_squares needs: a sum holds its left part while forming the right."""
+    if isinstance(order, int):
+        return 1
+    return max(_buffers_needed(order[0]), 1 + _buffers_needed(order[1]))
+
+
+def _sum_squares(order, bufs, level, xt, xr):
+    """Write the sum over the columns j in order of (xt[j] - xr[j]) ** 2 into
+    bufs[level], using the buffers above it as scratch."""
+    out = bufs[level]
+    if isinstance(order, int):
+        np.subtract(xt[order], xr[order], out=out)
+        np.square(out, out=out)
+        return
+    _sum_squares(order[0], bufs, level, xt, xr)
+    _sum_squares(order[1], bufs, level + 1, xt, xr)
+    out += bufs[level + 1]
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -322,8 +393,7 @@ def choose_active_dimension(decomp: ASDecomposition, rule: str = "largest-gap",
     """
     m = decomp.m
     if rule == "explicit":
-        if explicit is None or not 1 <= explicit < m:
-            raise DomainError(f"explicit active dimension must be in [1, {m})")
+        _check_explicit_dim(explicit, m)
         return int(explicit)
     lam = np.maximum(decomp.eigenvalues, 1e-16)
     if rule == "largest-gap":
@@ -333,6 +403,11 @@ def choose_active_dimension(decomp: ASDecomposition, rule: str = "largest-gap",
         keep = int((lam >= _THRESHOLD_RATIO * lam[0]).sum())
         return min(max(keep, 1), m - 1)
     raise ConfigError(f"unknown active-dimension rule {rule!r}")
+
+
+def _check_explicit_dim(explicit, m: int) -> None:
+    if explicit is None or not 1 <= explicit < m:
+        raise DomainError(f"explicit active dimension must be in [1, {m})")
 
 
 # --- polynomial response surface ----------------------------------------
@@ -514,10 +589,12 @@ def analyze_table(table: SampleTable, settings: AnalysisSettings = AnalysisSetti
     """Full single-output analysis: gradients, eigenpairs, surface, errors.
 
     Gradients are estimated by local-linear regression when the table has
-    none.  Returns (report dict, decomposition, surface or None); the report
-    flags the spectrum structure: "none" for a flat zero spectrum, "weak"
-    for a gap ratio below 10, "strong" otherwise.
+    none, after the settings are checked against the table's m.  Returns
+    (report dict, decomposition, surface or None); the report flags the
+    spectrum structure: "none" for a flat zero spectrum, "weak" for a gap
+    ratio below 10, "strong" otherwise.
     """
+    settings.check_dimension(table.m)
     if table.gradients is None:
         table = estimate_gradients(table)
     decomp = decompose(table, n_boot=settings.n_boot, seed=settings.seed)

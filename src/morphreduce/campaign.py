@@ -385,8 +385,9 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     threads bounds the worker pool; None uses every available CPU.
     Writes run_dir/manifest.json plus one samples/NNN/ directory per sample.
     Per-sample failures are recorded and isolated; config-level problems
-    (bad mesh, bad lattice, resumable records of another configuration)
-    abort before any evaluation.
+    (bad mesh, bad lattice, an explicit active dimension the binding cannot
+    have, resumable records of another configuration) abort before any
+    evaluation.
     """
     if threads is not None and threads < 1:
         raise ConfigError(f"thread count must be positive, got {threads}")
@@ -394,6 +395,7 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     lattice, binding = load_ffd_json(config.ffd_path)
     if binding is None:
         raise ConfigError(f"{config.ffd_path}: campaign needs a parameter binding")
+    config.analysis.check_dimension(binding.dimension)
     base_mesh = load_mesh(config.mesh_path)
     mus = sample_parameters(binding, config.n_samples, scheme=config.scheme,
                             seed=config.seed)

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from morphreduce.activesubspace import (_nearest, _neighbor_blocks, _sorted_eig,
-                                        AnalysisSettings, ASDecomposition, SampleTable,
-                                        analyze_table, choose_active_dimension, decompose,
-                                        estimate_covariance, estimate_gradients,
+import morphreduce.activesubspace as asub
+from morphreduce.activesubspace import (_distance_blocks, _nearest, _neighbor_blocks,
+                                        _sorted_eig, AnalysisSettings, ASDecomposition,
+                                        SampleTable, analyze_table, choose_active_dimension,
+                                        decompose, estimate_covariance, estimate_gradients,
                                         evaluate_surface, fit_response_surface,
                                         load_sample_table, replicated_errors,
                                         ResponseSurface, save_sample_table,
@@ -91,6 +92,23 @@ class TestGradientEstimation:
         assert deficient is None
         assert np.array_equal(block_neighbors(table, 12)[0], nbrs)
         assert_gradients_match(estimate_gradients(table, n_neighbors=12).gradients, ref)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 300])
+    @pytest.mark.parametrize("layout", ["uniform", "quarter-grid"])
+    def test_block_distances_equal_full_matrix_bitwise(self, monkeypatch, m, layout):
+        # m covers each branch of numpy's pairwise sum: a plain sequence below
+        # 8 terms, eight lanes with and without leftovers up to 128, halves above
+        monkeypatch.setattr(asub, "_BLOCK_ELEMENTS", 60 * 20)  # 20 // buffers rows
+        rng = np.random.default_rng([9, m, len(layout)])
+        if layout == "quarter-grid":
+            x = rng.integers(-4, 5, (60, m)) / 4.0
+        else:
+            x = rng.uniform(-1.0, 1.0, (60, m))
+        blocks = [(start, d2.copy()) for start, d2 in _distance_blocks(x)]
+        assert len(blocks) >= 3 and [start for start, _ in blocks] == list(
+            np.cumsum([0] + [len(d2) for _, d2 in blocks[:-1]]))
+        full = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(np.vstack([d2 for _, d2 in blocks]), full)
 
     def test_memory_is_not_quadratic_in_samples(self):
         assert gradient_peak_bytes(1500, 8, seed=5) < 8e6  # one 1500^2 matrix takes 18 MB

@@ -490,6 +490,16 @@ class TestRunCampaign:
             assert record.status == "failed" and record.diagnostics is None
             assert re.fullmatch(r"max \|λ\| 1\.030454\d* > 1 \+ 1e-06", record.reason)
 
+    @pytest.mark.parametrize("explicit_dim", [8, 9])
+    def test_explicit_dim_of_binding_rejected_before_sampling(self, workspace, explicit_dim):
+        tmp_path, _, _ = workspace
+        config = self.config(workspace, analysis=AnalysisSettings(
+            rule="explicit", explicit_dim=explicit_dim))
+        with pytest.raises(DomainError,
+                           match=re.escape("explicit active dimension must be in [1, 8)")):
+            run_campaign(config, threads=1)
+        assert not (tmp_path / "run" / "samples").exists()
+
     def test_missing_binding_rejected(self, workspace):
         tmp_path, _, mesh_path = workspace
         lattice = FFDLattice([0, 0, 0], np.eye(3), (2, 2, 2))

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from morphreduce import dmd
+from morphreduce import activesubspace as asub, cli, dmd
 from morphreduce.activesubspace import save_sample_table, SampleTable
 from morphreduce.campaign import AnalysisSettings, SampleRecord, analyze_campaign
 from morphreduce.ffd import BindingEntry, FFDLattice, ParameterBinding, save_ffd_json
@@ -363,6 +363,24 @@ class TestAsCommand:
                        "--out", str(out), *flags)
         assert proc.returncode == 1
         assert proc.stderr == f"error: config: {message}\n"
+        assert not out.exists()
+
+    def test_explicit_dim_of_table_rejected_before_gradients(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def no_gradients(*args, **kwargs):
+            raise AssertionError("gradients estimated for an impossible explicit_dim")
+
+        monkeypatch.setattr(asub, "estimate_gradients", no_gradients)
+        rng = np.random.default_rng(5)
+        table_path = tmp_path / "five.csv"
+        x = rng.uniform(-1, 1, (40, 5))
+        save_sample_table(SampleTable(x, x @ np.arange(1.0, 6.0)), table_path)
+        out = tmp_path / "report.json"
+        code = cli.main(["as", "analyze", "--in", str(table_path), "--seed", "1",
+                         "--out", str(out), "--rule", "explicit", "--dim", "9"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: domain: explicit active dimension must be in [1, 5)\n")
         assert not out.exists()
 
 
