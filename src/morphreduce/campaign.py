@@ -14,13 +14,17 @@ carries the DMD diagnostics next to its scalars.
 
 Samples are independent units of work; every record is written atomically
 and an interrupted run resumes by skipping indices that already have an ok
-record for the same parameter vector; failed records are retried.  All
-randomness is derived from (campaign seed, sample index), so results are
-byte-identical across reruns and thread counts.
+record for the same parameter vector; failed records are retried.  Each
+record carries the run's configuration fingerprint (_fingerprint), and a
+record of another configuration stops the resume.  All randomness is
+derived from (campaign seed, sample index), so results are byte-identical
+across reruns and thread counts.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -314,8 +318,24 @@ def _dmd_diagnostics(model: dmd.DMDModel, direct: dict, steady: dict) -> dict:
     }
 
 
+def _fingerprint(config: CampaignConfig) -> str:
+    """sha256 of what decides a run's records.
+
+    That is the config document without the analysis settings, which never
+    change a record, and with the lattice and mesh paths replaced by the
+    sha256 of the files' bytes, so a checkout elsewhere gives the same value.
+    """
+    doc = config.to_doc()
+    del doc["analysis"]
+    for key in ("ffd", "mesh"):
+        doc[key] = hashlib.sha256(Path(doc[key]).read_bytes()).hexdigest()
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
-                config: CampaignConfig, run_dir: Path, probe_mix) -> SampleRecord:
+                config: CampaignConfig, run_dir: Path, probe_mix,
+                fingerprint: str) -> SampleRecord:
     sample_dir = run_dir / "samples" / f"{index:03d}"
     sample_dir.mkdir(parents=True, exist_ok=True)
     rel = f"samples/{index:03d}"
@@ -347,16 +367,18 @@ def _run_sample(index: int, mu: np.ndarray, lattice, binding, base_mesh,
     except Exception as exc:  # fault isolation: one bad sample never aborts the run
         logger.warning("sample %d failed: %s", index, exc)
         record = SampleRecord(index=index, mu=mu, status="failed", reason=str(exc))
-    write_json(sample_dir / "record.json", record.to_doc())
+    write_json(sample_dir / "record.json", {**record.to_doc(), "fingerprint": fingerprint})
     return record
 
 
-def _reusable_record(run_dir: Path, index: int, mu: np.ndarray) -> SampleRecord | None:
+def _reusable_record(run_dir: Path, index: int, mu: np.ndarray,
+                     fingerprint: str) -> SampleRecord | None:
     """The finished record of a sample, or None when it must be (re)computed.
 
     Unreadable and failed records are recomputed.  A record drawn for a
-    different parameter vector belongs to another configuration and raises
-    ConfigError rather than being mixed into this run.
+    different parameter vector, or one without this run's configuration
+    fingerprint, belongs to another configuration and raises ConfigError
+    rather than being mixed into this run.
     """
     record_file = run_dir / "samples" / f"{index:03d}" / "record.json"
     if not record_file.exists():
@@ -364,6 +386,7 @@ def _reusable_record(run_dir: Path, index: int, mu: np.ndarray) -> SampleRecord 
     try:
         with read_json(record_file) as doc:
             record = SampleRecord.from_doc(doc)
+            found = doc.get("fingerprint")
     except ConfigError as exc:
         logger.warning("sample %d: unreadable record (%s), recomputing", index, exc)
         return None
@@ -372,6 +395,11 @@ def _reusable_record(run_dir: Path, index: int, mu: np.ndarray) -> SampleRecord 
             f"sample {index}: {record_file} holds a record for another parameter "
             "vector (different configuration); rerun with --no-resume or choose "
             "a new output directory")
+    if found != fingerprint:
+        raise ConfigError(
+            f"sample {index}: {record_file} holds a record without this run's "
+            "configuration fingerprint (different configuration); rerun with "
+            "--no-resume or choose a new output directory")
     if record.status != "ok":
         logger.info("sample %d: retrying failed record", index)
         return None
@@ -399,17 +427,18 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     base_mesh = load_mesh(config.mesh_path)
     mus = sample_parameters(binding, config.n_samples, scheme=config.scheme,
                             seed=config.seed)
+    fingerprint = _fingerprint(config)
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    records = [_reusable_record(run_dir, i, mus[i]) if resume else None
+    records = [_reusable_record(run_dir, i, mus[i], fingerprint) if resume else None
                for i in range(config.n_samples)]
     todo = [i for i, r in enumerate(records) if r is None]
     probe_mix = _probe_mix(config) if config.time_resolved else None
 
     def work(i):
         return _run_sample(i, mus[i], lattice, binding, base_mesh, config, run_dir,
-                           probe_mix)
+                           probe_mix, fingerprint)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for i, record in zip(todo, pool.map(work, todo)):
@@ -417,6 +446,7 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
 
     manifest = {
         "config": config.to_doc(),
+        "fingerprint": fingerprint,
         "bounds": binding.bounds.tolist(),
         "n_samples": config.n_samples,
         "n_ok": sum(1 for r in records if r.status == "ok"),

@@ -13,14 +13,18 @@ body-to-global rotation of q.  The balance is solved in the body frame,
 
     w' = R I^-1 (R^T M - w_b x I w_b),    w_b = R^T w,
 
-which is the same equation without a 3x3 solve or the product R I R^T.  One
-explicit RK4 step at a time works on the packed state as plain floats; the
-quaternion is projected back to unit norm after each step.
+which is the same equation without a 3x3 solve or the product R I R^T.
+Explicit RK4 steps work on the packed 13-state as plain floats, and the
+quaternion is projected back to unit norm after each step.  The mass,
+gravity, I and I^-1 are unpacked to floats once per simulate or step call;
+simulate is one loop over the packed state, with no RigidBodyState per step.
 
 A force model is called as forces(t, state) four times per step, at t,
-t + dt/2, t + dt/2 and t + dt.  Its state carries the stage's normalised
-quaternion and is built without RigidBodyState's validation, because the
-integrator made the quaternion unit itself.
+t + dt/2, t + dt/2 and t + dt.  Its state is a RigidBodyState that holds the
+stage's floats, with the stage's normalised quaternion, and is not
+validated, because the integrator made the quaternion unit itself.  Each
+field read builds a fresh array, so a model pays only for the fields it
+reads, and writes to the state or its arrays never reach the integrator.
 """
 
 from __future__ import annotations
@@ -139,17 +143,41 @@ def constant_forces(force, moment):
     return model
 
 
-def _unchecked_state(y, q) -> RigidBodyState:
-    """The RigidBodyState of a stage, built without __post_init__."""
-    state = object.__new__(RigidBodyState)
-    v = np.array(y[0:9])
-    state.position, state.velocity, state.angular_velocity = v[0:3], v[3:6], v[6:9]
-    state.quaternion = np.array(q)
-    return state
+def _stage_field(lo, hi):
+    """Field values[lo:hi] of a _StageState: a fresh array on each read; a
+    write replaces the state's own list, never the integrator's."""
+    def read(self):
+        return np.array(self._values[lo:hi])
+
+    def write(self, value):
+        values = list(self._values)
+        values[lo:hi] = np.asarray(value, dtype=float).reshape(hi - lo).tolist()
+        self._values = values
+
+    return property(read, write)
 
 
-def _rk4(y, t, dt, props: BodyProperties, forces):
-    """One RK4 step of the packed 13-state y, a list of floats; returns the next one."""
+class _StageState(RigidBodyState):
+    """The state a force model is handed at one RK4 stage.
+
+    It holds the stage's 13 floats and is not validated: the integrator made
+    its quaternion unit.  Nothing a force model does to it or to the arrays
+    it reads reaches the integrator.
+    """
+
+    def __init__(self, values):
+        self._values = values
+
+    position, velocity = _stage_field(0, 3), _stage_field(3, 6)
+    angular_velocity, quaternion = _stage_field(6, 9), _stage_field(9, 13)
+
+
+def _rk4_kernel(props: BodyProperties, forces):
+    """The RK4 step (y, t, dt) -> next y of the packed 13-state, a list of floats.
+
+    The body constants are unpacked to floats once, here.  The returned
+    state's quaternion is not normalised; _normalized does that.
+    """
     mass = props.mass
     gx, gy, gz = props.gravity.tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = props.inertia.tolist()
@@ -159,7 +187,7 @@ def _rk4(y, t, dt, props: BodyProperties, forces):
         v0, v1, v2, w0, w1, w2, qs, qx, qy, qz = y[3:13]
         n = math.sqrt(qs * qs + qx * qx + qy * qy + qz * qz)
         s, a, b, c = qs / n, qx / n, qy / n, qz / n
-        f_ext, m_ext = forces(t, _unchecked_state(y, (s, a, b, c)))
+        f_ext, m_ext = forces(t, _StageState(y[0:9] + [s, a, b, c]))
         f0, f1, f2 = np.asarray(f_ext, dtype=float).tolist()
         m0, m1, m2 = np.asarray(m_ext, dtype=float).tolist()
         r00, r01, r02 = 1 - 2 * (b * b + c * c), 2 * (a * b - s * c), 2 * (a * c + s * b)
@@ -189,14 +217,29 @@ def _rk4(y, t, dt, props: BodyProperties, forces):
                 0.5 * (qs * w1 + (w2 * qx - w0 * qz)),
                 0.5 * (qs * w2 + (w0 * qy - w1 * qx))]
 
-    h = 0.5 * dt
-    k1 = rate(t, y)
-    k2 = rate(t + h, [u + h * k for u, k in zip(y, k1)])
-    k3 = rate(t + h, [u + h * k for u, k in zip(y, k2)])
-    k4 = rate(t + dt, [u + dt * k for u, k in zip(y, k3)])
-    sixth = dt / 6.0
-    return [u + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    def rk4(y, t, dt):
+        h = 0.5 * dt
+        k1 = rate(t, y)
+        k2 = rate(t + h, [u + h * k for u, k in zip(y, k1)])
+        k3 = rate(t + h, [u + h * k for u, k in zip(y, k2)])
+        k4 = rate(t + dt, [u + dt * k for u, k in zip(y, k3)])
+        sixth = dt / 6.0
+        return [u + sixth * (a + 2.0 * b + 2.0 * c + d)
+                for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+    return rk4
+
+
+def _normalized(y):
+    """A copy of the packed state y with its quaternion projected to unit norm."""
+    qs, qx, qy, qz = y[9:13]
+    n = math.sqrt(qs * qs + qx * qx + qy * qy + qz * qz)
+    if n == 0.0:
+        raise DomainError("cannot normalize a zero quaternion")
+    qs, qx, qy, qz = qs / n, qx / n, qy / n, qz / n
+    if abs(math.sqrt(qs * qs + qx * qx + qy * qy + qz * qz) - 1.0) > UNIT_TOL:
+        raise DomainError("state quaternion must have unit norm")
+    return y[0:9] + [qs, qx, qy, qz]
 
 
 def _check_times(dt, *times):
@@ -211,8 +254,9 @@ def step(state: RigidBodyState, props: BodyProperties, forces, t: float,
          dt: float) -> RigidBodyState:
     """One explicit RK4 step of length dt starting at time t."""
     _check_times(dt, t)
-    y = _rk4(state.as_vector().tolist(), t, dt, props, forces)
-    return RigidBodyState(y[0:3], y[3:6], y[6:9], quat_normalize(y[9:13]))
+    rk4 = _rk4_kernel(props, forces)
+    y = _normalized(rk4(state.as_vector().tolist(), t, dt))
+    return RigidBodyState(y[0:3], y[3:6], y[6:9], y[9:13])
 
 
 def simulate(state: RigidBodyState, props: BodyProperties, forces,
@@ -220,7 +264,8 @@ def simulate(state: RigidBodyState, props: BodyProperties, forces,
     """Fixed-step trajectory from t0 to (at least) t_end.
 
     Returns (times, states) with states of shape (K + 1, 13), rows packing
-    position, velocity, angular velocity and quaternion.
+    position, velocity, angular velocity and quaternion.  Row k + 1 equals
+    step() applied to row k, bit for bit.
     """
     _check_times(dt, t0, t_end)
     if t_end <= t0:
@@ -233,11 +278,12 @@ def simulate(state: RigidBodyState, props: BodyProperties, forces,
     n_steps = int(np.ceil(steps - 1e-12))
     times = t0 + dt * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, 13))
-    out[0] = state.as_vector()
-    current = state
-    for k, t in enumerate(times[:-1].tolist()):
-        current = step(current, props, forces, t, dt)
-        out[k + 1] = current.as_vector()
+    y = state.as_vector().tolist()
+    out[0] = y
+    rk4 = _rk4_kernel(props, forces)
+    for k, t in enumerate(times[:-1].tolist(), start=1):
+        y = _normalized(rk4(y, t, dt))
+        out[k] = y
     return times, out
 
 

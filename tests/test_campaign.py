@@ -416,6 +416,75 @@ class TestRunCampaign:
         assert all(r.status == "ok" for r in records)
         assert run_campaign(reseeded, threads=2)[0].mu.tobytes() == records[0].mu.tobytes()
 
+    def demo_copy(self, directory, **changes):
+        """A 4-sample copy of the shipped demo config in directory, with changes."""
+        data = files("morphreduce") / "data"
+        doc = json.loads((data / "demo_campaign.json").read_text())
+        doc.update(ffd=str(data / doc["ffd"]), mesh=str(data / doc["mesh"]), samples=4,
+                   output_dir=str(directory / "run"), **changes)
+        path = directory / "campaign.json"
+        path.write_text(json.dumps(doc))
+        return load_campaign_config(path)
+
+    def test_resume_refuses_records_of_another_objective(self, tmp_path):
+        # same seed, scheme and binding, so every mu matches; only the records differ
+        config = self.demo_copy(tmp_path)
+        first = run_campaign(config, threads=2)
+        run_dir = camp.Path(config.output_dir)
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        objective = dict(config.to_doc()["objective"], volume_coefficient=500.0)
+        changed = self.demo_copy(tmp_path, objective=objective)
+        with pytest.raises(ConfigError, match="sample 0: .*fingerprint.*--no-resume"):
+            run_campaign(changed, threads=2)
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+        fresh = run_campaign(changed, threads=2, resume=False)
+        assert all(b.scalars["resistance"] > 5 * a.scalars["resistance"]
+                   for a, b in zip(first, fresh))
+
+    def test_resume_refuses_record_without_fingerprint(self, workspace):
+        config = self.config(workspace, n_samples=3)
+        run_campaign(config, threads=1)
+        record_file = camp.Path(config.output_dir) / "samples" / "002" / "record.json"
+        doc = json.loads(record_file.read_text())
+        del doc["fingerprint"]
+        record_file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="sample 2: .*fingerprint.*--no-resume"):
+            run_campaign(config, threads=1)
+
+    def test_analysis_change_resumes_every_record(self, tmp_path, monkeypatch):
+        config = self.demo_copy(tmp_path)
+        run_campaign(config, threads=2)
+        manifest_file = camp.Path(config.output_dir) / "manifest.json"
+        fresh = json.loads(manifest_file.read_text())
+        calls = self.counting_run_sample(monkeypatch)
+        other = self.demo_copy(tmp_path, analysis={"degree": 2, "n_boot": 10})
+        records = run_campaign(other, threads=2)
+        assert calls == []
+        resumed = json.loads(manifest_file.read_text())
+        assert resumed["records"] == fresh["records"] == [r.to_doc() for r in records]
+        assert resumed["fingerprint"] == fresh["fingerprint"]
+        assert resumed["config"]["analysis"]["degree"] == 2
+
+    def test_fingerprint_is_of_file_bytes_not_paths(self, workspace):
+        tmp_path, ffd_path, mesh_path = workspace
+        moved = tmp_path / "elsewhere"
+        moved.mkdir()
+        for path in (ffd_path, mesh_path):
+            (moved / camp.Path(path).name).write_bytes(camp.Path(path).read_bytes())
+        runs = [self.config(workspace, output_dir=str(tmp_path / "a")),
+                self.config(workspace, output_dir=str(tmp_path / "b"),
+                            ffd_path=str(moved / "ffd.json"),
+                            mesh_path=str(moved / "base.obj"))]
+        for config in runs:
+            run_campaign(config, threads=1)
+        record = camp.Path("samples", "001", "record.json")
+        assert (tmp_path / "a" / record).read_bytes() == (tmp_path / "b" / record).read_bytes()
+        fingerprints = [json.loads((tmp_path / d / "manifest.json").read_text())["fingerprint"]
+                        for d in "ab"]
+        assert fingerprints[0] == fingerprints[1]
+        assert json.loads((tmp_path / "a" / record).read_text())["fingerprint"] == \
+            fingerprints[0]
+
     def test_resume_retries_failed_record(self, workspace, monkeypatch):
         config = self.config(workspace, n_samples=4, outputs=("resistance",))
         original = camp.evaluate_objective

@@ -58,6 +58,28 @@ def reference_step(state, props, forces, t, dt):
     return np.concatenate([y[0:9], quat_normalize(y[9:13])])
 
 
+def damping(c, vandal=False):
+    """F = -c v, M = -c w: a force model that reads its stage state.
+
+    With vandal=True it also writes into every array it is handed, this
+    call's and (through kept) earlier calls', which must change nothing.
+    """
+    kept = []
+
+    def model(t, state):
+        force, moment = -c * state.velocity, -c * state.angular_velocity
+        if vandal:
+            state.quaternion[:] = 0.0
+            state.position += 1.0
+            state.angular_velocity = [7.0, 8.0, 9.0]
+            kept.append(state.velocity)
+            for array in kept:
+                array *= -3.0
+        return force, moment
+
+    return model
+
+
 def world_momentum(state, props):
     r = quat_to_rotation(state.quaternion)
     return r @ props.inertia @ r.T @ state.angular_velocity
@@ -219,7 +241,7 @@ class TestStep:
     def test_norm_drift_per_raw_step(self):
         props = self.free_props(inertia=np.diag([1.0, 2.0, 3.0]))
         state = RigidBodyState(np.zeros(3), np.zeros(3), [0.7, -0.4, 1.1], IDENTITY_Q)
-        raw = rigidbody._rk4(state.as_vector().tolist(), 0.0, 1e-2, props, no_forces)
+        raw = rigidbody._rk4_kernel(props, no_forces)(state.as_vector().tolist(), 0.0, 1e-2)
         assert abs(quat_norm(raw[9:13]) - 1.0) < 1e-8
 
     def test_invalid_dt(self):
@@ -239,6 +261,19 @@ class TestStep:
         props = BodyProperties(mass=1.7, inertia=rotated_inertia(rng),
                                gravity=[0.3, -0.2, -9.81])
         forces = constant_forces([0.4, -1.1, 2.0], [0.7, 0.25, -0.6])
+        for _ in range(20):
+            state = RigidBodyState(rng.standard_normal(3), rng.standard_normal(3),
+                                   rng.standard_normal(3), random_unit_quaternion(rng))
+            t, dt = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 5e-2)
+            got = step(state, props, forces, t, dt).as_vector()
+            want = reference_step(state, props, forces, t, dt)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_state_dependent_forces_match_global_frame_reference(self):
+        rng = np.random.default_rng(10)
+        props = BodyProperties(mass=1.7, inertia=rotated_inertia(rng),
+                               gravity=[0.3, -0.2, -9.81])
+        forces = damping(0.8)
         for _ in range(20):
             state = RigidBodyState(rng.standard_normal(3), rng.standard_normal(3),
                                    rng.standard_normal(3), random_unit_quaternion(rng))
@@ -317,3 +352,24 @@ class TestSimulate:
         for k in range(len(times) - 1):
             current = step(current, props, forces, times[k], 0.01)
             np.testing.assert_array_equal(states[k + 1], current.as_vector())
+
+    def test_rows_are_steps_under_state_dependent_forces(self):
+        props = BodyProperties(mass=1.3, inertia=np.diag([1.0, 2.0, 3.0]))
+        state = RigidBodyState([0.0, 1.0, 2.0], [0.5, 0.0, -1.0], [0.3, 1.0, -0.2],
+                               random_unit_quaternion(np.random.default_rng(11)))
+        forces = damping(0.4)
+        times, states = simulate(state, props, forces, 0.25, 0.75, 0.01)
+        current = state
+        for k in range(len(times) - 1):
+            current = step(current, props, forces, times[k], 0.01)
+            np.testing.assert_array_equal(states[k + 1], current.as_vector())
+
+    def test_writes_to_the_stage_state_never_reach_the_integrator(self):
+        props = BodyProperties(mass=1.3, inertia=np.diag([1.0, 2.0, 3.0]))
+        state = RigidBodyState([0.0, 1.0, 2.0], [0.5, 0.0, -1.0], [0.3, 1.0, -0.2],
+                               random_unit_quaternion(np.random.default_rng(12)))
+        _, want = simulate(state, props, damping(0.4), 0.0, 0.5, 0.01)
+        _, got = simulate(state, props, damping(0.4, vandal=True), 0.0, 0.5, 0.01)
+        np.testing.assert_array_equal(got, want)
+        stepped = step(state, props, damping(0.4, vandal=True), 0.0, 0.01)
+        np.testing.assert_array_equal(stepped.as_vector(), want[1])
