@@ -7,7 +7,10 @@ covariance E[grad f grad f^T], estimated here by the Monte Carlo average
 [-1, 1]^m before any gradient or covariance work, and all reported
 quantities (eigenvectors, projections, surfaces) live in that normalized
 space.  Tables without bounds are taken to be already normalized.
-Every analysis option lives in one frozen AnalysisSettings, checked when built.
+Every analysis option lives in one frozen AnalysisSettings, checked when
+built; check_dimension is the one check of the settings against a table's m.
+decompose eigendecomposes the covariance and picks the active dimension M
+with choose_active_dimension, so a decomposition is complete when built.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalysisSettings:
-    """Options of analyze_table, fit_response_surface and replicated_errors,
-    each checked once, here; check_dimension checks explicit_dim < m."""
+    """Options of every analysis function, each checked once, here;
+    check_dimension checks them against the number of parameters m."""
 
     degree: int = 4
     split_fraction: float = 0.75
@@ -65,9 +68,11 @@ class AnalysisSettings:
                               f"got {self.split_fraction!r}")
 
     def check_dimension(self, m: int) -> None:
-        """Raise DomainError when the explicit rule cannot keep explicit_dim of m."""
-        if self.rule == "explicit":
-            _check_explicit_dim(self.explicit_dim, m)
+        """Raise DomainError unless an active dimension 1 <= M < m can be kept."""
+        if m < 2:
+            raise DomainError(f"active-subspace analysis needs at least 2 parameters, got {m}")
+        if self.rule == "explicit" and self.explicit_dim >= m:
+            raise DomainError(f"explicit active dimension must be in [1, {m})")
 
 
 @dataclass
@@ -143,26 +148,17 @@ class SampleTable:
         return SampleTable(self.inputs, self.outputs, gradients, self.bounds)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ASDecomposition:
     """Eigenpairs of the gradient covariance plus the active dimension."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    active_dim: int
     bootstrap_lo: np.ndarray | None = None
     bootstrap_hi: np.ndarray | None = None
-    active_dim: int | None = None
-
-    @property
-    def m(self) -> int:
-        return len(self.eigenvalues)
 
     def active_basis(self) -> np.ndarray:
-        if self.active_dim is None:
-            raise DomainError("active dimension not set; call choose_active_dimension")
-        if not 1 <= self.active_dim < self.m:
-            raise DomainError(f"active dimension must be in [1, {self.m}), "
-                              f"got {self.active_dim}")
         return self.eigenvectors[:, :self.active_dim]
 
 
@@ -328,10 +324,14 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return nbr
 
 
-def estimate_covariance(table: SampleTable) -> np.ndarray:
+def _covariance(rows: np.ndarray) -> np.ndarray:
     """Monte Carlo estimate (1/N) sum g_i g_i^T of the uncentered covariance."""
-    g = table.normalized_gradients()
-    return g.T @ g / len(g)
+    return rows.T @ rows / len(rows)
+
+
+def estimate_covariance(table: SampleTable) -> np.ndarray:
+    """The covariance estimate of the table's normalized gradients."""
+    return _covariance(table.normalized_gradients())
 
 
 def _sorted_eig(cov: np.ndarray):
@@ -353,61 +353,54 @@ def _sorted_eig(cov: np.ndarray):
     return lam, np.where(top < 0.0, -vec, vec)
 
 
-def decompose(table: SampleTable, n_boot: int = 100, seed: int = 0) -> ASDecomposition:
-    """Eigendecompose the gradient covariance with bootstrap intervals.
+def decompose(table: SampleTable,
+              settings: AnalysisSettings = AnalysisSettings()) -> ASDecomposition:
+    """Eigendecompose the gradient covariance, pick M, add bootstrap intervals.
 
-    The covariance is estimated from the table's gradients, and 5%/95%
-    percentile intervals are computed by resampling gradient rows with
-    replacement n_boot times.  Each resample's randomness derives from
-    (seed, resample index), so results do not depend on execution order.
-    The resampled covariances are formed one at a time and eigendecomposed
-    as one stack, so memory stays O(N m + n_boot m^2).
+    The covariance is estimated from the table's gradients and M is chosen
+    by choose_active_dimension.  5%/95% percentile intervals are computed by
+    resampling gradient rows with replacement settings.n_boot times.  Each
+    resample's randomness derives from (settings.seed, resample index), so
+    results do not depend on execution order.  The resampled covariances are
+    formed one at a time and eigendecomposed as one stack, so memory stays
+    O(N m + n_boot m^2).
     """
     g = table.normalized_gradients()
-    lam, vec = _sorted_eig(estimate_covariance(table))
+    lam, vec = _sorted_eig(_covariance(g))
+    active_dim = choose_active_dimension(lam, settings)
     lo = hi = None
-    if n_boot > 0:
+    if settings.n_boot > 0:
         n = len(g)
-        covs = np.empty((n_boot, len(lam), len(lam)))
-        for b in range(n_boot):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
-            rows = g[rng.integers(0, n, n)]
-            covs[b] = rows.T @ rows / n
+        covs = np.empty((settings.n_boot, len(lam), len(lam)))
+        for b in range(settings.n_boot):
+            rng = np.random.default_rng(np.random.SeedSequence([settings.seed, b]))
+            covs[b] = _covariance(g[rng.integers(0, n, n)])
         boot = _sorted_eig(covs)[0]
         lo = np.percentile(boot, 5.0, axis=0)
         hi = np.percentile(boot, 95.0, axis=0)
-    return ASDecomposition(eigenvalues=lam, eigenvectors=vec,
-                           bootstrap_lo=lo, bootstrap_hi=hi)
+    return ASDecomposition(lam, vec, active_dim, lo, hi)
 
 
 _THRESHOLD_RATIO = 1e-2
 
 
-def choose_active_dimension(decomp: ASDecomposition, rule: str = "largest-gap",
-                            explicit: int | None = None) -> int:
-    """Pick the active dimension M.
+def choose_active_dimension(eigenvalues: np.ndarray, settings: AnalysisSettings) -> int:
+    """Pick the active dimension M of descending eigenvalues by settings.rule.
 
     largest-gap maximizes log(lam_i) - log(lam_{i+1}) (eigenvalues floored at
-    1e-16); explicit returns the given M; threshold keeps every eigenvalue
-    at least 1e-2 * lam_1.  Always returns 1 <= M < m.
+    1e-16); explicit returns settings.explicit_dim; threshold keeps every
+    eigenvalue at least 1e-2 * lam_1.  settings.check_dimension(m) runs
+    first, so the result is always 1 <= M < m.
     """
-    m = decomp.m
-    if rule == "explicit":
-        _check_explicit_dim(explicit, m)
-        return int(explicit)
-    lam = np.maximum(decomp.eigenvalues, 1e-16)
-    if rule == "largest-gap":
-        gaps = np.log(lam[:-1]) - np.log(lam[1:])
-        return int(np.argmax(gaps) + 1)
-    if rule == "threshold":
-        keep = int((lam >= _THRESHOLD_RATIO * lam[0]).sum())
-        return min(max(keep, 1), m - 1)
-    raise ConfigError(f"unknown active-dimension rule {rule!r}")
-
-
-def _check_explicit_dim(explicit, m: int) -> None:
-    if explicit is None or not 1 <= explicit < m:
-        raise DomainError(f"explicit active dimension must be in [1, {m})")
+    m = len(eigenvalues)
+    settings.check_dimension(m)
+    if settings.rule == "explicit":
+        return int(settings.explicit_dim)
+    lam = np.maximum(eigenvalues, 1e-16)
+    if settings.rule == "largest-gap":
+        return int(np.argmax(np.log(lam[:-1]) - np.log(lam[1:])) + 1)
+    keep = int((lam >= _THRESHOLD_RATIO * lam[0]).sum())
+    return min(max(keep, 1), m - 1)
 
 
 # --- polynomial response surface ----------------------------------------
@@ -560,13 +553,11 @@ def replicated_errors(table: SampleTable, settings: AnalysisSettings) -> list:
     seeds = (np.random.SeedSequence([settings.seed, rep]).generate_state(1)[0]
              for rep in range(settings.n_replicates))
     splits = [_split_indices(table.n, settings.split_fraction, int(seed)) for seed in seeds]
-    rows = (g[train] for train, _ in splits)  # r.T @ r of one buffer, as decompose forms it
-    lams, vecs = _sorted_eig(np.stack([r.T @ r / len(r) for r in rows]))
+    # each covariance of one gathered buffer of rows, as decompose forms it
+    lams, vecs = _sorted_eig(np.stack([_covariance(g[train]) for train, _ in splits]))
     errors = []
     for (train, test), lam, vec in zip(splits, lams, vecs):
-        decomp = ASDecomposition(lam, vec)
-        decomp.active_dim = choose_active_dimension(decomp, settings.rule, settings.explicit_dim)
-        w1 = decomp.active_basis()
+        w1 = vec[:, :choose_active_dimension(lam, settings)]
         # project each row subset on its own: BLAS rounding depends on row
         # position, and this keeps earlier replicate errors bit-identical
         errors.append(_fit_and_score(x[train] @ w1, x[test] @ w1, f, train, test,
@@ -597,9 +588,7 @@ def analyze_table(table: SampleTable, settings: AnalysisSettings = AnalysisSetti
     settings.check_dimension(table.m)
     if table.gradients is None:
         table = estimate_gradients(table)
-    decomp = decompose(table, n_boot=settings.n_boot, seed=settings.seed)
-    decomp.active_dim = choose_active_dimension(decomp, settings.rule,
-                                                explicit=settings.explicit_dim)
+    decomp = decompose(table, settings)
     lam = decomp.eigenvalues
     out_range = float(table.outputs.max() - table.outputs.min())
     if out_range == 0.0 or lam[0] <= (1e-10 * max(out_range, 1e-300)) ** 2:

@@ -28,7 +28,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .activesubspace import AnalysisSettings
 from .errors import ConfigError, DomainError, _is_real, _require_int
 from .ffd import apply_parameters, deform_mesh, load_ffd_json, sample_parameters
 from .geometry import TriMesh, load_mesh, save_mesh, volume_centroid
-from .surrogate import (ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec,
+from .surrogate import (RIDGE_KINDS, ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec,
                         evaluate_objective, generate_timeseries)
 from .textio import read_json, write_csv, write_json
 
@@ -153,29 +153,36 @@ def _checked_modes(modes) -> list:
     return checked
 
 
+# campaign document key -> CampaignConfig field; every other key is its field name
+_CONFIG_FIELDS = {{"ffd_path": "ffd", "mesh_path": "mesh", "n_samples": "samples",
+                   "n_channels": "channels"}.get(f.name, f.name): f.name
+                  for f in fields(CampaignConfig)}
+
+
 def load_campaign_config(path) -> CampaignConfig:
     """Read a campaign JSON document.
 
+    Each key names one CampaignConfig field (see _CONFIG_FIELDS), a key left
+    out takes the field's default, and any other key, or a missing ffd, mesh,
+    samples or objective, raises ConfigError.
     The ffd and mesh paths are resolved relative to the config file;
     output_dir is resolved relative to the working directory.
     """
     base = Path(path).parent  # joining keeps an absolute path as it is
     with read_json(path) as doc:
-        return CampaignConfig(
-            ffd_path=str(base / doc["ffd"]),
-            mesh_path=str(base / doc["mesh"]),
-            n_samples=doc["samples"],
-            objective=ObjectiveSpec(**doc["objective"]),
-            output_dir=doc.get("output_dir", "campaign_run"),
-            scheme=doc.get("scheme", "latin-hypercube"),
-            seed=doc.get("seed", 0),
-            outputs=doc.get("outputs", ("resistance", "trim")),
-            time_resolved=doc.get("time_resolved", True),
-            n_channels=doc.get("channels", 24),
-            transient_modes=doc.get("transient_modes"),
-            dmd=DMDSettings(**doc.get("dmd", {})),
-            analysis=AnalysisSettings(**doc.get("analysis", {})),
-        )
+        for key in doc:
+            if key not in _CONFIG_FIELDS:
+                raise ConfigError(f"unknown campaign key {key!r}")
+        for key in ("ffd", "mesh", "samples", "objective"):
+            if key not in doc:
+                raise ConfigError(f"campaign key {key!r} is required")
+        values = {_CONFIG_FIELDS[key]: value for key, value in doc.items()}
+        values.update(ffd_path=str(base / doc["ffd"]), mesh_path=str(base / doc["mesh"]),
+                      objective=ObjectiveSpec(**doc["objective"]))
+        for key, settings in (("dmd", DMDSettings), ("analysis", AnalysisSettings)):
+            if key in doc:
+                values[key] = settings(**doc[key])
+        return CampaignConfig(**values)
 
 
 @dataclass
@@ -413,9 +420,9 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     threads bounds the worker pool; None uses every available CPU.
     Writes run_dir/manifest.json plus one samples/NNN/ directory per sample.
     Per-sample failures are recorded and isolated; config-level problems
-    (bad mesh, bad lattice, an explicit active dimension the binding cannot
-    have, resumable records of another configuration) abort before any
-    evaluation.
+    (bad mesh, bad lattice, an active dimension the binding cannot have, a
+    ridge direction of another length than the binding, resumable records of
+    another configuration) abort before any evaluation.
     """
     if threads is not None and threads < 1:
         raise ConfigError(f"thread count must be positive, got {threads}")
@@ -424,6 +431,10 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     if binding is None:
         raise ConfigError(f"{config.ffd_path}: campaign needs a parameter binding")
     config.analysis.check_dimension(binding.dimension)
+    direction = config.objective.direction
+    if config.objective.kind in RIDGE_KINDS and len(direction) != binding.dimension:
+        raise ConfigError(f"objective direction has {len(direction)} entries, but the "
+                          f"binding has {binding.dimension} parameters")
     base_mesh = load_mesh(config.mesh_path)
     mus = sample_parameters(binding, config.n_samples, scheme=config.scheme,
                             seed=config.seed)

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EvaluatorError
+from .errors import ConfigError, DomainError, EvaluatorError, _is_real, _require_int
 from .dmd import SnapshotSet
-from .geometry import TriMesh, enclosed_volume, ittc57_drag, surface_area
+from .geometry import TriMesh, enclosed_volume, ittc57_drag, save_mesh, surface_area
 from .textio import write_csv
 
 __all__ = [
@@ -29,7 +29,11 @@ __all__ = [
     "discrete_eigenvalues",
 ]
 
-OBJECTIVE_KINDS = ("ridge", "quartic-ridge", "volume-drag-proxy", "external-command")
+RIDGE_KINDS = ("ridge", "quartic-ridge")
+OBJECTIVE_KINDS = RIDGE_KINDS + ("volume-drag-proxy", "external-command")
+# the fields that must be finite numbers, and those of them that must be > 0
+_NUMBERS = ("noise", "noise_frequency", "volume_coefficient")
+_POSITIVE = ("density", "speed", "viscosity", "reference_length")
 
 
 @dataclass
@@ -60,7 +64,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
-        if self.kind in ("ridge", "quartic-ridge"):
+        if self.kind in RIDGE_KINDS:
             if self.direction is None:
                 raise ConfigError(f"{self.kind} objective needs a direction vector")
             self.direction = np.asarray(self.direction, dtype=float).reshape(-1)
@@ -71,6 +75,15 @@ class ObjectiveSpec:
                 self.profile = np.array([0.0, 0.5, 1.0]) if self.kind == "ridge" \
                     else np.array([0.0, 0.0, 0.0, 0.0, 1.0])
             self.profile = np.asarray(self.profile, dtype=float).reshape(-1)
+        for name in _NUMBERS + _POSITIVE:
+            value = getattr(self, name)
+            if name == "reference_length" and value is None:
+                continue  # the deformed mesh's length is used
+            positive = name in _POSITIVE
+            if not _is_real(value) or not np.isfinite(value) or (positive and value <= 0):
+                raise ConfigError(f"objective {name} must be a finite number"
+                                  f"{' > 0' if positive else ''}, got {value!r}")
+        _require_int("objective seed", self.seed, 0)
         if self.noise < 0.0:
             raise ConfigError("noise amplitude must be >= 0")
         if self.kind == "external-command" and not self.command:
@@ -111,7 +124,7 @@ def evaluate_objective(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
     object is supplied).
     """
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    if spec.kind in ("ridge", "quartic-ridge"):
+    if spec.kind in RIDGE_KINDS:
         if len(mu) != len(spec.direction):
             raise DomainError(
                 f"objective expects {len(spec.direction)} parameters, got {len(mu)}")
@@ -133,7 +146,7 @@ def evaluate_objective(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
 
 def objective_gradient(spec: ObjectiveSpec, mu) -> np.ndarray:
     """Analytic gradient of the ridge objectives (not available otherwise)."""
-    if spec.kind not in ("ridge", "quartic-ridge"):
+    if spec.kind not in RIDGE_KINDS:
         raise DomainError(f"no analytic gradient for objective kind {spec.kind!r}")
     mu = np.asarray(mu, dtype=float).reshape(-1)
     x = float(spec.direction @ mu)
@@ -153,8 +166,6 @@ def run_external(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
 
     The process must print a scalar as its first token; the value is returned.
     """
-    from .geometry import save_mesh  # local import to avoid cycle at module load
-
     mu = np.asarray(mu, dtype=float).reshape(-1)
     with tempfile.TemporaryDirectory(prefix="morphreduce-") as tmp:
         mu_path = Path(tmp) / "mu.csv"

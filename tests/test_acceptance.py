@@ -21,6 +21,8 @@ from morphreduce.surrogate import (ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec
                                    objective_gradient)
 
 BOUNDS8 = np.tile([-0.3, 0.3], (8, 1))
+# the eigenpairs with M = 1 and no bootstrap
+ONE_ACTIVE = asub.AnalysisSettings(n_boot=0, rule="explicit", explicit_dim=1)
 
 
 def ok(criterion, detail):
@@ -123,14 +125,15 @@ def test_criterion_05_as_ridge_recovery():
     f = np.array([evaluate_objective(spec, mu) for mu in mus])
     g = np.array([objective_gradient(spec, mu) for mu in mus])
 
-    exact = asub.decompose(asub.SampleTable(mus, f, g, bounds=BOUNDS8), n_boot=0)
+    exact = asub.decompose(asub.SampleTable(mus, f, g, bounds=BOUNDS8),
+                           asub.AnalysisSettings(n_boot=0))
     cos_exact = abs(exact.eigenvectors[:, 0] @ c)
     ratio = exact.eigenvalues[1] / exact.eigenvalues[0]
     assert cos_exact >= 0.999
     assert ratio <= 1e-8
 
     estimated = asub.estimate_gradients(asub.SampleTable(mus, f, bounds=BOUNDS8))
-    local = asub.decompose(estimated, n_boot=0)
+    local = asub.decompose(estimated, asub.AnalysisSettings(n_boot=0))
     cos_local = abs(local.eigenvectors[:, 0] @ c)
     assert cos_local >= 0.99
 
@@ -152,8 +155,7 @@ def test_criterion_06_response_surface_metric():
     f = np.array([evaluate_objective(quartic, mu) for mu in mus])
     g = np.array([objective_gradient(quartic, mu) for mu in mus])
     table = asub.SampleTable(mus, f, g, bounds=BOUNDS8)
-    decomp = asub.decompose(table, n_boot=0)
-    decomp.active_dim = 1
+    decomp = asub.decompose(table, ONE_ACTIVE)
     _, clean_report = asub.fit_response_surface(decomp, table,
                                                 asub.AnalysisSettings(split_seed=2))
     clean_err = clean_report["normalized_test_error"]
@@ -175,8 +177,7 @@ def test_criterion_06_response_surface_metric():
         f = np.array([evaluate_objective(noisy, mu) for mu in mus])
         g = np.array([objective_gradient(noisy, mu) for mu in mus])
         table = asub.SampleTable(mus, f, g, bounds=BOUNDS8)
-        decomp = asub.decompose(table, n_boot=0)
-        decomp.active_dim = 1
+        decomp = asub.decompose(table, ONE_ACTIVE)
         _, report = asub.fit_response_surface(
             decomp, table, asub.AnalysisSettings(split_seed=300 + rep))
         noisy_errors.append(report["normalized_test_error"])
@@ -193,7 +194,7 @@ def test_criterion_07_bootstrap_sanity():
     # identical gradient rows: every resample is the same, intervals collapse
     table = asub.SampleTable(np.zeros((40, m)), np.zeros(40), np.tile(c, (40, 1)),
                              bounds=BOUNDS8)
-    dec = asub.decompose(table, n_boot=100, seed=1)
+    dec = asub.decompose(table, asub.AnalysisSettings(n_boot=100, seed=1))
     width = np.abs(dec.bootstrap_hi - dec.bootstrap_lo).max()
     assert width == 0.0
 
@@ -209,7 +210,7 @@ def test_criterion_07_bootstrap_sanity():
         f = (mus @ c) ** 2 + 0.5 * (mus @ c) + 0.1 * np.sin(2.0 * mus).sum(axis=1)
         g = np.array([gradient(mu) for mu in mus])
         dec = asub.decompose(asub.SampleTable(mus, f, g, bounds=BOUNDS8),
-                             n_boot=200, seed=seed)
+                             asub.AnalysisSettings(n_boot=200, seed=seed))
         return np.median(dec.bootstrap_hi - dec.bootstrap_lo)
 
     ratio = median_width(200, 7) / median_width(800, 1007)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -14,6 +15,14 @@ from morphreduce.activesubspace import (_distance_blocks, _nearest, _neighbor_bl
                                         ResponseSurface, save_sample_table,
                                         surface_to_doc)
 from morphreduce.errors import DomainError
+
+
+NO_BOOT = AnalysisSettings(n_boot=0)
+
+
+def explicit_dim(m_active):
+    """Settings that keep m_active eigenvectors and skip the bootstrap."""
+    return AnalysisSettings(n_boot=0, rule="explicit", explicit_dim=m_active)
 
 
 def box_bounds(m, half=1.0):
@@ -281,13 +290,13 @@ class TestDecompose:
     def test_identical_rows_zero_width_intervals(self):
         c = np.array([1.0, 2.0, -1.0])
         table = SampleTable(np.zeros((25, 3)), np.zeros(25), np.tile(c, (25, 1)))
-        dec = decompose(table, n_boot=50, seed=0)
+        dec = decompose(table, AnalysisSettings(n_boot=50, seed=0))
         assert np.array_equal(dec.bootstrap_lo, dec.bootstrap_hi)
 
     def test_bootstrap_deterministic_given_seed(self):
         table, _ = ridge_table(n=80, exact=True)
-        a = decompose(table, n_boot=30, seed=9)
-        b = decompose(table, n_boot=30, seed=9)
+        a = decompose(table, AnalysisSettings(n_boot=30, seed=9))
+        b = decompose(table, AnalysisSettings(n_boot=30, seed=9))
         assert np.array_equal(a.bootstrap_lo, b.bootstrap_lo)
         assert np.array_equal(a.bootstrap_hi, b.bootstrap_hi)
 
@@ -298,7 +307,7 @@ class TestDecompose:
         else:
             x = np.random.default_rng(31).uniform(-1, 1, (150, 4))
             table = SampleTable(x, np.sum(x ** 2, axis=1), 2.0 * x, bounds=box_bounds(4))
-        got = decompose(table, n_boot=40, seed=5)
+        got = decompose(table, AnalysisSettings(n_boot=40, seed=5))
         ref = per_resample_decompose(table, n_boot=40, seed=5)
         for name in ("eigenvalues", "eigenvectors", "bootstrap_lo", "bootstrap_hi"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -330,7 +339,7 @@ class TestDecompose:
         table = SampleTable(np.zeros((3000, 8)), np.zeros(3000), g)
         tracemalloc.start()
         try:
-            decompose(table, n_boot=100, seed=1)
+            decompose(table, AnalysisSettings(n_boot=100, seed=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,7 +347,7 @@ class TestDecompose:
 
     def test_orthogonality(self):
         table, _ = ridge_table(n=120, seed=7)
-        dec = decompose(table, n_boot=0)
+        dec = decompose(table, NO_BOOT)
         w = dec.eigenvectors
         assert np.abs(w.T @ w - np.eye(w.shape[1])).max() < 1e-10
 
@@ -368,39 +377,37 @@ def per_resample_decompose(table, n_boot, seed):
         rows = g[rng.integers(0, n, n)]
         boot[b] = sorted_eig(rows.T @ rows / n)[0]
     return ASDecomposition(eigenvalues=lam, eigenvectors=vec,
+                           active_dim=choose_active_dimension(lam, AnalysisSettings()),
                            bootstrap_lo=np.percentile(boot, 5.0, axis=0),
                            bootstrap_hi=np.percentile(boot, 95.0, axis=0))
 
 
 class TestActiveDimension:
-    def make(self, eigenvalues):
-        m = len(eigenvalues)
-        return ASDecomposition(np.asarray(eigenvalues, dtype=float), np.eye(m))
+    def choose(self, eigenvalues, **settings):
+        return choose_active_dimension(np.asarray(eigenvalues, dtype=float),
+                                       AnalysisSettings(**settings))
 
     def test_dominant_first_gap(self):
-        assert choose_active_dimension(self.make([1.0, 1e-8, 1e-9, 1e-10])) == 1
+        assert self.choose([1.0, 1e-8, 1e-9, 1e-10]) == 1
 
     def test_gap_after_second(self):
-        assert choose_active_dimension(self.make([4.0, 3.9, 1e-6, 1e-7])) == 2
+        assert self.choose([4.0, 3.9, 1e-6, 1e-7]) == 2
 
     def test_explicit(self):
-        dec = self.make([1.0, 0.9, 0.8, 0.7])
-        assert choose_active_dimension(dec, rule="explicit", explicit=2) == 2
+        assert self.choose([1.0, 0.9, 0.8, 0.7], rule="explicit", explicit_dim=2) == 2
 
     def test_threshold(self):
-        dec = self.make([1.0, 0.5, 1e-4, 1e-6])
-        assert choose_active_dimension(dec, rule="threshold") == 2
+        assert self.choose([1.0, 0.5, 1e-4, 1e-6], rule="threshold") == 2
 
     def test_result_below_dimension(self):
-        dec = self.make([1.0, 0.99, 0.98])
-        m_act = choose_active_dimension(dec)
+        m_act = self.choose([1.0, 0.99, 0.98])
         assert 1 <= m_act < 3
 
 
 class TestRidgeRecovery:
     def test_exact_gradients(self):
         table, c = ridge_table(n=300, m=6, seed=10)
-        dec = decompose(table, n_boot=0)
+        dec = decompose(table, NO_BOOT)
         assert abs(dec.eigenvectors[:, 0] @ c) > 0.999999
         assert dec.eigenvalues[1] <= 1e-4 * dec.eigenvalues[0]
 
@@ -408,7 +415,7 @@ class TestRidgeRecovery:
         m = 4
         table, c = ridge_table(n=50 * m, m=m, seed=11, exact=False)
         table = estimate_gradients(table)
-        dec = decompose(table, n_boot=0)
+        dec = decompose(table, NO_BOOT)
         assert abs(dec.eigenvectors[:, 0] @ c) > 0.99
 
     def test_rotation_equivariance(self):
@@ -420,8 +427,8 @@ class TestRidgeRecovery:
         q = np.linalg.qr(rng.standard_normal((m, m)))[0]
         t1 = SampleTable(x, np.sin(x @ c), g)
         t2 = SampleTable(x @ q.T, np.sin(x @ c), g @ q.T)
-        w1 = decompose(t1, n_boot=0).eigenvectors[:, :1]
-        w2 = decompose(t2, n_boot=0).eigenvectors[:, :1]
+        w1 = decompose(t1, NO_BOOT).eigenvectors[:, :1]
+        w2 = decompose(t2, NO_BOOT).eigenvectors[:, :1]
         cos_angle = np.abs((q @ w1).T @ w2)[0, 0]
         assert np.arccos(min(cos_angle, 1.0)) < 1e-8
 
@@ -429,8 +436,7 @@ class TestRidgeRecovery:
 class TestResponseSurface:
     def test_exact_quadratic_reproduced(self):
         table, c = ridge_table(n=250, m=5, seed=13)
-        dec = decompose(table, n_boot=0)
-        dec.active_dim = 1
+        dec = decompose(table, explicit_dim(1))
         surface, report = fit_response_surface(dec, table, AnalysisSettings(split_seed=1))
         assert report["normalized_test_error"] < 1e-8
 
@@ -452,8 +458,7 @@ class TestResponseSurface:
         f = (x @ c) ** 4 + 0.01 * rng.standard_normal(n)
         g = (4.0 * (x @ c) ** 3)[:, None] * c
         table = SampleTable(x, f, g)
-        dec = decompose(table, n_boot=0)
-        dec.active_dim = 1
+        dec = decompose(table, explicit_dim(1))
         surface, report = fit_response_surface(dec, table, AnalysisSettings(split_seed=3))
         # independent oracle: raw-monomial normal equations on the same split
         from morphreduce.activesubspace import _split_indices
@@ -497,8 +502,7 @@ class TestResponseSurface:
         noisy = SampleTable(table.inputs,
                             table.outputs + 0.05 * np.sin(7.0 * table.inputs[:, 0]),
                             table.gradients, table.bounds)
-        dec = decompose(noisy, n_boot=0)
-        dec.active_dim = 1
+        dec = decompose(noisy, explicit_dim(1))
         prev = np.inf
         for d in range(1, 6):
             _, report = fit_response_surface(dec, noisy,
@@ -508,15 +512,13 @@ class TestResponseSurface:
 
     def test_too_few_samples_rejected(self):
         table, _ = ridge_table(n=12, m=3, seed=19)
-        dec = decompose(table, n_boot=0)
-        dec.active_dim = 2
+        dec = decompose(table, explicit_dim(2))
         with pytest.raises(DomainError):
             fit_response_surface(dec, table, AnalysisSettings())
 
     def test_surface_doc_round_trip(self):
         table, _ = ridge_table(n=100, m=3, seed=20)
-        dec = decompose(table, n_boot=0)
-        dec.active_dim = 1
+        dec = decompose(table, explicit_dim(1))
         surface, _ = fit_response_surface(dec, table, AnalysisSettings(degree=3))
         doc = json.loads(json.dumps(surface_to_doc(surface)))  # as surface.json holds it
         back = ResponseSurface(doc["degree"], doc["active_dim"],
@@ -571,8 +573,7 @@ class TestReplicatedErrors:
             split_seed = int(np.random.SeedSequence([5, rep]).generate_state(1)[0])
             train, _ = _split_indices(table.n, 0.75, split_seed)
             dec = decompose(SampleTable(x[train], f[train], table.gradients[train],
-                                        table.bounds), n_boot=0)
-            dec.active_dim = choose_active_dimension(dec)
+                                        table.bounds), NO_BOOT)
             _, report = fit_response_surface(
                 dec, table, AnalysisSettings(degree=2, split_seed=split_seed))
             assert error == pytest.approx(report["normalized_test_error"], rel=1e-12)
@@ -612,9 +613,7 @@ def per_replicate_errors(table, settings):
         split_seed = int(np.random.SeedSequence([settings.seed, rep]).generate_state(1)[0])
         train, test = _split_indices(table.n, settings.split_fraction, split_seed)
         sub = SampleTable(table.inputs[train], f[train], table.gradients[train], table.bounds)
-        dec = decompose(sub, n_boot=0)
-        dec.active_dim = choose_active_dimension(dec, settings.rule,
-                                                 explicit=settings.explicit_dim)
+        dec = decompose(sub, dataclasses.replace(settings, n_boot=0))
         w1 = dec.active_basis()
         surface, _ = _fit_surface(x[train] @ w1, f[train], settings.degree)
         rmse = float(np.sqrt(np.mean((evaluate_surface(surface, x[test] @ w1) - f[test]) ** 2)))

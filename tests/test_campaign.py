@@ -125,13 +125,23 @@ class TestConfig:
          "campaign transient mode must map growth, frequency and optionally amplitude"),
         ("analysis", {"rule": "explicit"},
          "analysis explicit_dim must be set for the explicit rule"),
+        ("objective", {"kind": "volume-drag-proxy", "volume_coefficient": "x"},
+         "objective volume_coefficient must be a finite number, got 'x'"),
+        ("objective", {"kind": "volume-drag-proxy", "speed": -2.0},
+         "objective speed must be a finite number > 0, got -2.0"),
+        ("objective", {"kind": "ridge", "direction": [1.0] * 8, "noise": 0.05, "seed": -1},
+         "objective seed must be an int >= 0, got -1"),
+        ("chanels", 12, "unknown campaign key 'chanels'$"),
+        ("n_samples", 12, "unknown campaign key 'n_samples'$"),
     ], ids=["seed-negative", "seed-float", "seed-bool", "outputs-string", "outputs-number",
             "time-resolved-string", "time-resolved-int", "dmd-dt-nan", "dmd-end-inf",
             "dmd-start-string", "dmd-one-snapshot", "samples-float", "samples-zero",
             "samples-string", "channels-float", "channels-zero", "channels-bool",
             "modes-object", "modes-growth-string", "modes-no-frequency", "modes-unknown-key",
             "modes-amplitude-nan", "modes-frequency-bool", "modes-list-entry",
-            "analysis-explicit-without-dim"])
+            "analysis-explicit-without-dim", "objective-number-string",
+            "objective-speed-negative", "objective-noisy-ridge-seed-negative",
+            "unknown-key-typo", "unknown-key-field-name"])
     def test_every_campaign_field_validated(self, workspace, key, value, message):
         tmp_path, _, _ = workspace
         doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,
@@ -186,6 +196,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig(ffd_path=ffd_path, mesh_path=mesh_path, n_samples=0,
                            objective=ridge_objective())
+
+    @pytest.mark.parametrize("key", ["ffd", "mesh", "samples", "objective"])
+    def test_required_key_missing(self, workspace, key):
+        tmp_path, _, _ = workspace
+        doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,
+               "objective": {"kind": "volume-drag-proxy"}}
+        del doc[key]
+        cfg_path = tmp_path / "campaign.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(cfg_path))}: campaign key '{key}' is required$"):
+            load_campaign_config(cfg_path)
+
+    def test_left_out_keys_take_the_dataclass_defaults(self, workspace):
+        tmp_path, ffd_path, mesh_path = workspace
+        doc = {"ffd": "ffd.json", "mesh": "base.obj", "samples": 2,
+               "objective": {"kind": "volume-drag-proxy"}}
+        cfg_path = tmp_path / "campaign.json"
+        cfg_path.write_text(json.dumps(doc))
+        expected = CampaignConfig(ffd_path=ffd_path, mesh_path=mesh_path, n_samples=2,
+                                  objective=ObjectiveSpec("volume-drag-proxy"))
+        assert load_campaign_config(cfg_path) == expected
+
+    def test_every_document_key_read_back(self, tmp_path):
+        demo = load_campaign_config(files("morphreduce") / "data" / "demo_campaign.json")
+        cfg_path = tmp_path / "campaign.json"
+        cfg_path.write_text(json.dumps({**demo.to_doc(), "output_dir": "elsewhere"}))
+        back = load_campaign_config(cfg_path)
+        assert back.to_doc() == demo.to_doc()
+        assert back.output_dir == "elsewhere"
 
 
 class TestSteadyState:
@@ -260,6 +300,15 @@ class TestRunCampaign:
                         seed=5, time_resolved=False)
         defaults.update(kwargs)
         return CampaignConfig(**defaults)
+
+    def test_ridge_direction_of_another_length_rejected_before_sampling(self, workspace):
+        tmp_path, _, _ = workspace
+        config = self.config(workspace,
+                             objective=ObjectiveSpec("ridge", direction=[1.0, 0.5, 0.25]))
+        with pytest.raises(ConfigError, match="^objective direction has 3 entries, but the "
+                                              "binding has 8 parameters$"):
+            run_campaign(config, threads=1)
+        assert not (tmp_path / "run").exists()
 
     def test_single_zero_sample_evaluates_profile_at_zero(self, workspace):
         tmp_path, ffd_path, mesh_path = workspace

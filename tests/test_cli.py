@@ -383,6 +383,26 @@ class TestAsCommand:
             "error: domain: explicit active dimension must be in [1, 5)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rule_flags", [
+        ["--rule", "largest-gap"], ["--rule", "threshold"], ["--rule", "explicit", "--dim", "1"],
+    ], ids=["largest-gap", "threshold", "explicit"])
+    def test_one_parameter_table_rejected_before_gradients(self, tmp_path, monkeypatch,
+                                                           capsys, rule_flags):
+        def no_gradients(*args, **kwargs):
+            raise AssertionError("gradients estimated for a one-parameter table")
+
+        monkeypatch.setattr(asub, "estimate_gradients", no_gradients)
+        x = np.random.default_rng(6).uniform(-1, 1, (40, 1))
+        table_path = tmp_path / "one.csv"
+        save_sample_table(SampleTable(x, x[:, 0] ** 2), table_path)
+        out = tmp_path / "report.json"
+        code = cli.main(["as", "analyze", "--in", str(table_path), "--seed", "1",
+                         "--out", str(out), *rule_flags])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: domain: active-subspace analysis needs at least 2 parameters, got 1\n")
+        assert not out.exists()
+
 
 class TestRigidBodyCommand:
     def test_simulate_free_fall(self, tmp_path):

@@ -96,6 +96,29 @@ class TestRidgeObjectives:
             ObjectiveSpec("ridge", direction=np.zeros(4))
 
 
+class TestObjectiveSpecNumbers:
+    @pytest.mark.parametrize("field, value, message", [
+        ("volume_coefficient", float("inf"),
+         "objective volume_coefficient must be a finite number"),
+        ("noise_frequency", True, "objective noise_frequency must be a finite number"),
+        ("noise", float("nan"), "objective noise must be a finite number"),
+        ("density", 0.0, "objective density must be a finite number > 0"),
+        ("viscosity", "1e-6", "objective viscosity must be a finite number > 0"),
+        ("reference_length", 0, "objective reference_length must be a finite number > 0"),
+        ("seed", 1.0, "objective seed must be an int >= 0"),
+    ])
+    def test_bad_number_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}, got "):
+            ObjectiveSpec("volume-drag-proxy", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("reference_length", None), ("reference_length", 2), ("speed", np.float32(0.5)),
+        ("volume_coefficient", -1.0), ("noise_frequency", 0.0), ("seed", np.int64(4)),
+    ])
+    def test_number_accepted(self, field, value):
+        assert getattr(ObjectiveSpec("volume-drag-proxy", **{field: value}), field) == value
+
+
 class TestVolumeDragProxy:
     def lattice(self):
         lat = FFDLattice([0.0, -1.2, -1.2], np.diag([1.4, 2.4, 2.4]), (2, 2, 2))
