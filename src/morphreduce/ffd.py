@@ -6,6 +6,12 @@ Bernstein blend of the control-point displacements, and mapped back.  Since
 the back map is affine this reduces to p -> p + A @ D(s, t, u), which keeps
 undisplaced points bit-identical.  Points whose reference coordinates fall
 outside [0, 1]^3 are returned untouched.
+
+The blend weights depend only on an undeformed point's reference coordinates,
+so deform_points builds a reference basis (the Bernstein matrices of the
+points in the box) and then blends the displacements through it.
+deform_mesh keeps the basis of a mesh's vertices in that mesh's memo, per
+lattice box, so many deformations of one base mesh build it once.
 """
 
 from __future__ import annotations
@@ -167,37 +173,51 @@ def basis_partition(lattice: FFDLattice, stu) -> np.ndarray:
     return bs.sum(axis=1) * bt.sum(axis=1) * bu.sum(axis=1)
 
 
-def deform_points(lattice: FFDLattice, points) -> np.ndarray:
-    """Apply the deformation map to an array of points.
+def _reference_basis(lattice: FFDLattice, pts: np.ndarray):
+    """Yield (start, inside, B_s, B_t, B_u) per block of the points in the lattice box.
 
-    Points outside the lattice box and points receiving an exactly zero
-    displacement are returned bit-identical.  Only control points with a
-    nonzero displacement enter the blend, and points are processed in
-    blocks of _DEFORM_BLOCK, so temporaries stay bounded for large inputs.
+    inside indexes the block's points with reference coordinates in [0, 1]^3
+    and B_* are their Bernstein matrices, (len(inside), counts[d]).  Blocks
+    hold _DEFORM_BLOCK points; those with no point inside are left out.  The
+    basis depends on the box and counts alone, not on the displacements.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    L, M, N = lattice.counts
+    for start in range(0, len(pts), _DEFORM_BLOCK):
+        stu = to_reference(lattice, pts[start:start + _DEFORM_BLOCK])
+        inside = np.nonzero(((stu >= 0.0) & (stu <= 1.0)).all(axis=1))[0]
+        if len(inside):
+            s = stu[inside]
+            yield (start, inside, _bernstein_matrix(L - 1, s[:, 0]),
+                   _bernstein_matrix(M - 1, s[:, 1]), _bernstein_matrix(N - 1, s[:, 2]))
+
+
+def _blend(lattice: FFDLattice, pts: np.ndarray, basis) -> np.ndarray:
+    """pts moved by the lattice displacements through their reference basis blocks."""
     out = pts.copy()
     i, j, k = np.nonzero((lattice.displacements != 0.0).any(axis=-1))
     if not len(i):
         return out
     # physical displacement of each displaced control point, (nnz, 3)
     control_shift = lattice.displacements[i, j, k] @ lattice.box_matrix.T
-    L, M, N = lattice.counts
-    for start in range(0, len(pts), _DEFORM_BLOCK):
-        block = pts[start:start + _DEFORM_BLOCK]
-        stu = to_reference(lattice, block)
-        inside = np.nonzero(((stu >= 0.0) & (stu <= 1.0)).all(axis=1))[0]
-        if not len(inside):
-            continue
-        s = stu[inside]
-        weights = (_bernstein_matrix(L - 1, s[:, 0])[:, i]
-                   * _bernstein_matrix(M - 1, s[:, 1])[:, j]
-                   * _bernstein_matrix(N - 1, s[:, 2])[:, k])
-        shift = weights @ control_shift
+    for start, inside, bs, bt, bu in basis:
+        shift = (bs[:, i] * bt[:, j] * bu[:, k]) @ control_shift
         moved = (shift != 0.0).any(axis=1)
-        idx = inside[moved]
-        out[start + idx] = block[idx] + shift[moved]
+        idx = start + inside[moved]
+        out[idx] = pts[idx] + shift[moved]
     return out
+
+
+def deform_points(lattice: FFDLattice, points) -> np.ndarray:
+    """Apply the deformation map to an array of points.
+
+    Points outside the lattice box and points receiving an exactly zero
+    displacement are returned bit-identical.  Only control points with a
+    nonzero displacement enter the blend, and points are processed in
+    blocks of _DEFORM_BLOCK, each built as the blend reaches it, so
+    temporaries stay bounded for large inputs.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return _blend(lattice, pts, _reference_basis(lattice, pts))
 
 
 def deform_point(lattice: FFDLattice, point) -> np.ndarray:
@@ -205,8 +225,20 @@ def deform_point(lattice: FFDLattice, point) -> np.ndarray:
 
 
 def deform_mesh(lattice: FFDLattice, mesh: TriMesh) -> TriMesh:
-    """Deform every vertex; connectivity and attached fields are preserved."""
-    return mesh.with_vertices(deform_points(lattice, mesh.vertices))
+    """Deform every vertex; connectivity and attached fields are preserved.
+
+    The reference basis of mesh's vertices is kept in mesh's memo for the
+    last lattice box (origin, axes, counts) it was deformed by, so deforming
+    one base mesh by many displacements of one lattice builds it once.
+    """
+    key = (lattice.origin.tobytes(), lattice.axes.tobytes(), lattice.counts)
+    kept = mesh._memo.get("ffd_basis")
+    if kept is None or kept[0] != key:
+        # one assignment: concurrent callers read a consistent (key, basis) pair,
+        # and a racing build only repeats the same work
+        basis = list(_reference_basis(lattice, mesh.vertices))
+        kept = mesh._memo["ffd_basis"] = (key, basis)
+    return mesh.with_vertices(_blend(lattice, mesh.vertices, kept[1]))
 
 
 def sample_parameters(binding: ParameterBinding, n: int,

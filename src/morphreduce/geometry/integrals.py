@@ -3,7 +3,10 @@
 The pressure force uses a one-point quadrature per triangle (mean of the
 three vertex values), which is exact for fields varying linearly over each
 triangle.  Accumulation is a plain numpy sum over the triangle axis, so
-results are run-to-run identical for a given mesh.
+results are run-to-run identical for a given mesh.  The enclosed volume and
+its first moment come from one pass over the signed tetrahedra, kept in the
+mesh's own memo; the FFD reference basis of a base mesh is kept there too,
+per lattice box (see ffd.deform_mesh).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, MeshTopologyError, ToolkitError
-from .mesh import TriMesh, triangle_cross_products
+from .mesh import TriMesh, _cross, triangle_cross_products
 
 
 @dataclass
@@ -90,11 +93,22 @@ def _require_closed(mesh: TriMesh) -> None:
         )
 
 
-def _signed_tetrahedra(mesh: TriMesh):
-    """Corners and det(v0, v1, v2) per triangle of a closed oriented mesh."""
+def _volume_moment(mesh: TriMesh):
+    """(volume, first moment) of a closed oriented mesh, from one tetrahedra pass.
+
+    Each triangle spans a tetrahedron with the origin of signed volume
+    det(v0, v1, v2)/6 and centroid (v0 + v1 + v2)/4.  The pair is kept in the
+    mesh's memo; an open mesh raises on every call and memoizes nothing.
+    """
     _require_closed(mesh)
-    a, b, c = mesh.corner_coordinates()
-    return a, b, c, np.einsum("ij,ij->i", a, np.cross(b, c))
+    kept = mesh._memo.get("volume_moment")
+    if kept is None:
+        a, b, c = mesh.corner_coordinates()
+        det = np.einsum("ij,ij->i", a, _cross(b, c))
+        tet_centroid = (a + b + c) / 4.0  # fourth vertex is the origin
+        kept = mesh._memo["volume_moment"] = (
+            float(det.sum() / 6.0), (det[:, None] * tet_centroid).sum(axis=0) / 6.0)
+    return kept
 
 
 def enclosed_volume(mesh: TriMesh) -> float:
@@ -105,18 +119,14 @@ def enclosed_volume(mesh: TriMesh) -> float:
     closed surfaces and is exact on integer-coordinate meshes.  Positive for
     outward orientation.
     """
-    det = _signed_tetrahedra(mesh)[3]
-    return float(det.sum() / 6.0)
+    return _volume_moment(mesh)[0]
 
 
 def volume_centroid(mesh: TriMesh) -> np.ndarray:
     """Centroid of the enclosed volume (divergence-theorem tetrahedra sum)."""
-    a, b, c, det = _signed_tetrahedra(mesh)
-    vol = float(det.sum() / 6.0)
+    vol, moment = _volume_moment(mesh)
     if vol == 0.0:
         raise DomainError("volume centroid undefined for zero enclosed volume")
-    tet_centroid = (a + b + c) / 4.0  # fourth vertex is the origin
-    moment = (det[:, None] * tet_centroid).sum(axis=0) / 6.0
     return moment / vol
 
 

@@ -8,7 +8,10 @@ Meshes derived with with_vertices or with_scalar_field share one
 connectivity cache.  It holds what depends on the triangles alone, computed
 once per connectivity: topology facts (closedness) and the OBJ face block.
 It also holds the OBJ vertex lines of the first mesh written, so that
-writing a deformed copy formats only the vertices that moved.
+writing a deformed copy formats only the vertices that moved.  Each mesh
+also has a memo of its own, which no derived mesh shares: what depends on
+its vertices too, such as its volume integrals and the FFD reference basis
+of its vertices.
 
 OBJ files that hold only `v x y z` lines followed by only `f i j k` lines,
 as save_mesh writes them, are parsed in bulk: one whitespace split of the
@@ -70,6 +73,8 @@ class TriMesh:
     # text of `triangles`, and reference OBJ vertex lines (see _obj_vertex_lines)
     _connectivity: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    # filled lazily and never shared: facts of these vertices and triangles
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.vertices = _as_locked(self.vertices, float, (-1, 3))
@@ -121,10 +126,17 @@ class TriMesh:
         return np.nonzero(repeated | zero_area)[0]
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u x v of two (T, 3) arrays, formed as np.cross forms it."""
+    u0, u1, u2 = u.T
+    v0, v1, v2 = v.T
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=1)
+
+
 def triangle_cross_products(mesh: TriMesh) -> np.ndarray:
     """(v1-v0) x (v2-v0) per triangle; |cross| = 2*area, direction = normal."""
     a, b, c = mesh.corner_coordinates()
-    return np.cross(b - a, c - a)
+    return _cross(b - a, c - a)
 
 
 def _infer_format(path):
@@ -342,7 +354,7 @@ def _parse_stl_ascii(text: str, origin: str) -> TriMesh:
 
 def _write_stl_ascii(mesh: TriMesh, path) -> None:
     a, b, c = mesh.corner_coordinates()
-    cross = triangle_cross_products(mesh)
+    cross = _cross(b - a, c - a)
     norms = np.linalg.norm(cross, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     normals = cross / safe[:, None]

@@ -75,6 +75,11 @@ class ObjectiveSpec:
                 self.profile = np.array([0.0, 0.5, 1.0]) if self.kind == "ridge" \
                     else np.array([0.0, 0.0, 0.0, 0.0, 1.0])
             self.profile = np.asarray(self.profile, dtype=float).reshape(-1)
+            for name in ("direction", "profile"):
+                values = getattr(self, name)
+                if not np.isfinite(values).all():
+                    raise ConfigError(f"ridge {name} must hold finite numbers, "
+                                      f"got {values.tolist()!r}")
         for name in _NUMBERS + _POSITIVE:
             value = getattr(self, name)
             if name == "reference_length" and value is None:

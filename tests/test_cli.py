@@ -462,6 +462,24 @@ class TestCampaignCommands:
         assert proc.returncode == 0, proc.stderr
         assert (run_dir / "analysis" / "report.json").exists()
 
+    @pytest.mark.parametrize("direction, shown", [
+        ([1.0, float("nan")], "[1.0, nan]"), ([float("inf"), 0.5], "[inf, 0.5]"),
+    ])
+    def test_non_finite_ridge_direction_refused_before_sampling(self, tmp_path, ffd_doc,
+                                                                 direction, shown):
+        save_mesh(icosphere(1), tmp_path / "mesh.obj")
+        config = {"ffd": "ffd.json", "mesh": "mesh.obj", "samples": 12,
+                  "objective": {"kind": "ridge", "direction": direction},
+                  "outputs": ["resistance"], "time_resolved": False}
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(config))  # NaN and Infinity literals, as Python reads them
+        run_dir = tmp_path / "run"
+        proc = run_cli("campaign", "run", "--config", str(cfg), "--out", str(run_dir))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: config: {cfg}: ridge direction must hold "
+                               f"finite numbers, got {shown}\n")
+        assert not (run_dir / "samples").exists()
+
     def test_bad_config_is_config_error(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{}")

@@ -1,3 +1,6 @@
+import sys
+import threading
+from importlib.resources import files
 from math import comb
 
 import numpy as np
@@ -9,7 +12,7 @@ from morphreduce.ffd import (BindingEntry, FFDLattice, ParameterBinding,
                              apply_parameters, basis_partition, deform_mesh,
                              deform_point, deform_points, load_ffd_json,
                              sample_parameters, save_ffd_json, to_reference)
-from morphreduce.geometry import icosphere, unit_cube
+from morphreduce.geometry import demo_hull, icosphere, unit_cube
 
 
 def to_physical(lattice, stu):
@@ -345,3 +348,95 @@ class TestSparseBlockedDeform:
         assert np.array_equal(out[untouched].view(np.uint64),
                               pts[untouched].view(np.uint64))
         assert (out[4] != pts[4]).all()
+
+
+class TestCachedBasis:
+    """deform_mesh keeps the base mesh's reference basis and equals deform_points."""
+
+    @pytest.fixture
+    def demo(self):
+        return load_ffd_json(files("morphreduce") / "data" / "demo_ffd.json")
+
+    @staticmethod
+    def assert_deforms_alike(lattice, base):
+        out = deform_mesh(lattice, base).vertices
+        ref = deform_points(lattice, base.vertices)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = ffd._reference_basis
+
+        def counting(lattice, pts):
+            calls.append(len(pts))
+            return build(lattice, pts)
+        monkeypatch.setattr(ffd, "_reference_basis", counting)
+        return calls
+
+    def test_parameter_sequence_builds_the_basis_once(self, demo, builds):
+        lattice, binding = demo
+        base = demo_hull(36, 18)
+        mus = sample_parameters(binding, 5, seed=9)
+        mus[2, 3] = 0.0  # one control point fewer is displaced
+        for mu in mus:
+            morphed = apply_parameters(lattice, binding, mu)
+            self.assert_deforms_alike(morphed, base)
+        assert builds.count(base.num_vertices) == 1 + len(mus)  # once here, per deform_points
+
+    @pytest.mark.parametrize("change", ["origin", "axes", "counts"])
+    def test_other_lattice_box_gets_its_own_basis(self, demo, change):
+        lattice, binding = demo
+        mu = sample_parameters(binding, 1, seed=4)[0]
+        first = apply_parameters(lattice, binding, mu)
+        origin, axes, counts = lattice.origin, lattice.axes, lattice.counts
+        if change == "origin":
+            origin = origin + [0.05, -0.02, 0.01]
+        elif change == "axes":
+            axes = axes * [[1.1], [0.95], [1.0]]
+        else:
+            counts = (7, 6, 6)
+        disp = np.zeros(counts + (3,))
+        disp[2, 3, 2] = [0.04, -0.03, 0.02]
+        second = FFDLattice(origin, axes, counts, disp)
+        base = demo_hull(36, 18)
+        for morphed in (first, second, first, second):
+            self.assert_deforms_alike(morphed, base)
+
+    def test_small_blocks_on_a_fresh_mesh(self, demo, monkeypatch):
+        lattice, binding = demo
+        monkeypatch.setattr(ffd, "_DEFORM_BLOCK", 64)
+        base = demo_hull(36, 18)
+        for mu in sample_parameters(binding, 2, seed=6):
+            self.assert_deforms_alike(apply_parameters(lattice, binding, mu), base)
+
+    def test_threads_share_one_fresh_base_mesh(self, demo):
+        """Four threads on two lattice boxes at once give the serial results."""
+        lattice, binding = demo
+        shifted = FFDLattice(lattice.origin + 0.03, lattice.axes, lattice.counts)
+        boxes = [[apply_parameters(box, binding, mu)
+                  for mu in sample_parameters(binding, 6, seed=8)]
+                 for box in (lattice, shifted)]
+        serial = [[deform_points(m, demo_hull(36, 18).vertices) for m in box]
+                  for box in boxes]
+        base = demo_hull(36, 18)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(slot):
+            barrier.wait()
+            results[slot] = [deform_mesh(m, base).vertices for m in boxes[slot % 2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for slot, result in enumerate(results):
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                       for a, b in zip(result, serial[slot % 2]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from morphreduce.errors import DomainError, MeshFormatError, MeshTopologyError, ToolkitError
+from morphreduce.ffd import apply_parameters, deform_mesh, load_ffd_json, sample_parameters
 from morphreduce.geometry import (TriMesh, boundary_edge_count, demo_hull,
                                   enclosed_volume, icosphere, integrate_pressure_force, ittc57_drag,
                                   ittc57_friction_coefficient, load_mesh,
@@ -218,6 +219,20 @@ class TestMeshIO:
         again = tmp_path / "sphere2.stl"
         save_mesh(back, again)
         assert np.array_equal(load_mesh(again).vertices, back.vertices)
+
+    def test_stl_bytes_match_the_np_cross_writer(self, tmp_path):
+        flat = TriMesh([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+                       [[0, 1, 2], [0, 1, 3]])  # the first has zero area
+        for mesh in deformed_demo_hulls()[:2] + [flat]:
+            a, b, c = mesh.corner_coordinates()
+            cross = np.cross(b - a, c - a)
+            norms = np.linalg.norm(cross, axis=1)
+            normals = cross / np.where(norms > 0.0, norms, 1.0)[:, None]
+            facets = (mesh_module._STL_FACET * mesh.num_triangles) % tuple(
+                np.hstack([normals, a, b, c]).ravel().tolist())
+            path = tmp_path / "mesh.stl"
+            save_mesh(mesh, path)
+            assert path.read_bytes() == ("solid mesh\n" + facets + "endsolid mesh\n").encode()
 
     def test_format_follows_the_suffix(self, tmp_path):
         save_mesh(unit_cube(), tmp_path / "cube.STL")
@@ -528,15 +543,79 @@ class TestClosednessOncePerConnectivity:
         assert len(calls) == 4
 
 
+def deformed_demo_hulls():
+    """demo_hull(36, 18) and demo_hull(120, 60), each under two demo-lattice samples."""
+    lattice, binding = load_ffd_json(files("morphreduce") / "data" / "demo_ffd.json")
+    mus = sample_parameters(binding, 2, seed=5)
+    return [deform_mesh(apply_parameters(lattice, binding, mu), demo_hull(nx, nr))
+            for nx, nr in ((36, 18), (120, 60)) for mu in mus]
+
+
+def np_cross_integrals(mesh):
+    """surface_area, enclosed_volume and volume_centroid by np.cross and einsum."""
+    a, b, c = mesh.corner_coordinates()
+    area = float((0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)).sum())
+    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    volume = float(det.sum() / 6.0)
+    moment = (det[:, None] * ((a + b + c) / 4.0)).sum(axis=0) / 6.0
+    return area, volume, moment / volume
+
+
+class TestIntegralsBitwise:
+    """The memoized one-pass integrals equal the np.cross/einsum formulas bit for bit."""
+
+    def test_cross_matches_np_cross(self):
+        rng = np.random.default_rng(70)
+        u = extreme_values(rng, 3000).reshape(-1, 3)
+        v = rng.permutation(extreme_values(rng, 3000)).reshape(-1, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, ref = mesh_module._cross(u, v), np.cross(u, v)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    def test_deformed_demo_hulls(self):
+        for mesh in deformed_demo_hulls():
+            area, volume, centroid = np_cross_integrals(mesh)
+            for _ in range(2):  # computed, then memoized
+                assert np.array_equal(surface_area(mesh), area)
+                assert np.array_equal(enclosed_volume(mesh), volume)
+                assert np.array_equal(volume_centroid(mesh), centroid)
+
+    def test_derived_mesh_never_sees_the_parents_values(self):
+        base = deformed_demo_hulls()[0]
+        enclosed_volume(base)
+        volume_centroid(base)
+        scale = np.array([1.5, 0.5, 2.0])
+        for child in (base.with_vertices(base.vertices * scale),
+                      base.with_vertices(base.vertices + 1.0)):
+            _, volume, centroid = np_cross_integrals(child)
+            assert np.array_equal(volume_centroid(child), centroid)
+            assert np.array_equal(enclosed_volume(child), volume)
+        assert np.array_equal(volume_centroid(base), np_cross_integrals(base)[2])
+
+    def test_open_mesh_raises_on_every_call(self):
+        base = demo_hull(36, 18)
+        open_mesh = TriMesh(base.vertices, base.triangles[:-1])
+        for _ in range(2):
+            for integral in (enclosed_volume, volume_centroid):
+                with pytest.raises(MeshTopologyError, match="3 boundary"):
+                    integral(open_mesh)
+
+    def test_zero_volume_centroid_raises_on_every_call(self):
+        # one triangle twice, oppositely wound, off the origin: closed, volume exactly 0
+        sheet = TriMesh([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+                        [[0, 1, 2], [0, 2, 1]])
+        assert enclosed_volume(sheet) == 0.0
+        for _ in range(2):
+            with pytest.raises(DomainError, match="zero enclosed volume"):
+                volume_centroid(sheet)
+
+
 class TestVolumeCentroid:
     @pytest.mark.parametrize("mesh", [unit_cube(),
                                       icosphere(2, radius=0.8, center=(0.3, -0.2, 0.9))])
     def test_first_moment_over_enclosed_volume(self, mesh):
-        a, b, c = mesh.corner_coordinates()
-        det = np.einsum("ij,ij->i", a, np.cross(b, c))
-        moment = (det[:, None] * ((a + b + c) / 4.0)).sum(axis=0) / 6.0
         centroid = volume_centroid(mesh)
-        assert np.array_equal(centroid, moment / enclosed_volume(mesh))
+        assert np.array_equal(centroid, np_cross_integrals(mesh)[2])
         np.testing.assert_allclose(centroid, mesh.vertices.mean(axis=0), atol=1e-12)
 
 

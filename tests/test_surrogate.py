@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from morphreduce.errors import ConfigError, DomainError, EvaluatorError
 from morphreduce.ffd import FFDLattice, BindingEntry, ParameterBinding, apply_parameters, deform_mesh
 from morphreduce.geometry import (enclosed_volume, icosphere, ittc57_drag,
                                   save_mesh, surface_area)
-from morphreduce.surrogate import (ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec,
+from morphreduce.surrogate import (RIDGE_KINDS, ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec,
                                    _mode_profile_phase, discrete_eigenvalues,
                                    evaluate_objective, generate_timeseries,
                                    objective_gradient, run_external)
@@ -94,6 +95,19 @@ class TestRidgeObjectives:
     def test_zero_direction_rejected(self):
         with pytest.raises(ConfigError):
             ObjectiveSpec("ridge", direction=np.zeros(4))
+
+    @pytest.mark.parametrize("kind", RIDGE_KINDS)
+    @pytest.mark.parametrize("field, value, shown", [
+        ("direction", [1.0, float("nan"), 0.5], "[1.0, nan, 0.5]"),
+        ("direction", [float("-inf"), 1.0], "[-inf, 1.0]"),
+        ("profile", [0.0, float("inf")], "[0.0, inf]"),
+        ("profile", [float("nan")], "[nan]"),
+    ])
+    def test_non_finite_entries_rejected(self, kind, field, value, shown):
+        given = {"direction": [1.0, 0.5], field: value}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"ridge {field} must hold finite numbers, got {shown}")):
+            ObjectiveSpec(kind, **given)
 
 
 class TestObjectiveSpecNumbers:
