@@ -28,7 +28,7 @@ from .textio import read_csv, write_csv
 
 __all__ = [
     "AnalysisSettings", "SampleTable", "ASDecomposition", "ResponseSurface",
-    "estimate_gradients", "estimate_covariance", "decompose",
+    "estimate_gradients", "decompose",
     "choose_active_dimension", "fit_response_surface", "evaluate_surface",
     "replicated_errors", "analyze_table", "plot_data", "surface_to_doc",
     "load_sample_table", "save_sample_table",
@@ -166,36 +166,20 @@ class ASDecomposition:
 _BLOCK_ELEMENTS = 2 ** 17
 
 
-def estimate_gradients(table: SampleTable, method: str = "local-linear",
-                       evaluator=None, n_neighbors: int | None = None,
-                       step: float = 1e-5) -> SampleTable:
-    """Fill the gradient rows of a sample table.
+def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> SampleTable:
+    """Fill the gradient rows of a sample table by local-linear regression.
 
-    local-linear fits a least-squares hyperplane through the k nearest
-    neighbors of each point (k defaults to max(m + 2, ceil(N / 10))) and
-    needs no extra evaluations.  Neighbors are ranked by squared distance in
-    the normalized inputs, equal distances by the lower row index (see
+    Each point's gradient is the slope of a least-squares hyperplane through
+    its k nearest neighbors (k defaults to max(m + 2, ceil(N / 10))), so no
+    extra evaluations are needed.  Neighbors are ranked by squared distance
+    in the normalized inputs, equal distances by the lower row index (see
     _neighbor_blocks).  The fits of each block of rows are stacked QR
     solves: one QR of the design matrices A = [1, x_j - x_i] with f_j
     appended, then one solve of R c = Q^T f.  A neighborhood is
     rank-deficient by lstsq's rule, smallest singular value at most
     eps * max(k, m + 1) times the largest, and the gradients agree with a
-    per-row lstsq to rounding, not bit for bit.  finite-difference runs
-    central differences with the given evaluator callback f(mu) -> scalar.
+    per-row lstsq to rounding, not bit for bit.
     """
-    if method == "finite-difference":
-        if evaluator is None:
-            raise ConfigError("finite-difference gradients need an evaluator callback")
-        grads = np.empty_like(table.inputs)
-        for i, mu in enumerate(table.inputs):
-            for j in range(table.m):
-                e = np.zeros(table.m)
-                e[j] = step
-                grads[i, j] = (evaluator(mu + e) - evaluator(mu - e)) / (2.0 * step)
-        return table.with_gradients(grads)
-    if method != "local-linear":
-        raise ConfigError(f"unknown gradient method {method!r}")
-
     x = table.normalized_inputs()
     n, m = x.shape
     if n < m + 1:
@@ -327,11 +311,6 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 def _covariance(rows: np.ndarray) -> np.ndarray:
     """Monte Carlo estimate (1/N) sum g_i g_i^T of the uncentered covariance."""
     return rows.T @ rows / len(rows)
-
-
-def estimate_covariance(table: SampleTable) -> np.ndarray:
-    """The covariance estimate of the table's normalized gradients."""
-    return _covariance(table.normalized_gradients())
 
 
 def _sorted_eig(cov: np.ndarray):

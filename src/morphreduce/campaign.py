@@ -288,8 +288,7 @@ def _channel_offsets(config: CampaignConfig, scalars: dict, probe_mix: tuple) ->
     return np.concatenate([tracked, base + mix @ tracked])
 
 
-def extract_steady_state(model: dmd.DMDModel, horizon_t: float, window_t: float,
-                         channels=None) -> np.ndarray:
+def extract_steady_state(model: dmd.DMDModel, horizon_t: float, window_t: float) -> np.ndarray:
     """Mean of the reconstructed states over [horizon - window, horizon].
 
     The campaign takes its steady values from dmd.fixed_point; this forecast
@@ -308,8 +307,7 @@ def extract_steady_state(model: dmd.DMDModel, horizon_t: float, window_t: float,
         raise DomainError("steady-state window contains no forecast samples")
     steps = np.arange(k_lo, k_hi + 1, dtype=float)
     mean_power = (model.eigenvalues[:, None] ** steps[None, :]).mean(axis=1)
-    mean = (model.modes @ (model.amplitudes * mean_power)).real
-    return mean if channels is None else mean[np.asarray(channels, dtype=int)]
+    return (model.modes @ (model.amplitudes * mean_power)).real
 
 
 def _dmd_diagnostics(model: dmd.DMDModel, direct: dict, steady: dict) -> dict:

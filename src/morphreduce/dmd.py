@@ -166,6 +166,8 @@ def fit(snapshots: SnapshotSet, rank=None, mode_kind: str = "exact",
     if not np.any(data):
         raise DomainError("cannot fit DMD to an all-zero snapshot matrix")
     r_x = _r_factor(data)
+    if not np.isfinite(r_x).all():  # a NaN or inf cell reaches R: no n-row scan
+        raise DomainError("snapshot data must be finite")
     u, sigma, vh = np.linalg.svd(r_x[:, :-1], full_matrices=False)
     tol = max(snapshots.n, snapshots.l - 1) * np.finfo(float).eps * sigma[0]
     n_positive = int((sigma > tol).sum())
@@ -272,7 +274,13 @@ def load_snapshots_csv(path) -> SnapshotSet:
 
 
 def save_snapshots_bin(snapshots: SnapshotSet, path) -> None:
-    """Little-endian: int64 n, int64 l, float64 dt header, then row-major data."""
+    """Little-endian: int64 n, int64 l, float64 dt header, then row-major data.
+
+    The header has no t0, so a series is read back starting at t0 = 0, and
+    one that starts elsewhere is refused.
+    """
+    if snapshots.t0 != 0.0:
+        raise DomainError(f"binary snapshots start at t0 = 0, got t0 = {snapshots.t0}")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<qqd", snapshots.n, snapshots.l, snapshots.dt))
         fh.write(snapshots.data.astype("<f8").tobytes())

@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _is_real
 from .geometry import TriMesh
 from .textio import read_json, write_json
 
@@ -57,9 +57,6 @@ class FFDLattice:
         self.counts = tuple(int(c) for c in self.counts)
         if any(c < 2 for c in self.counts):
             raise ConfigError(f"lattice needs >= 2 control points per direction, got {self.counts}")
-        edge_scale = np.prod(np.linalg.norm(self.axes, axis=1))
-        if edge_scale == 0.0 or abs(np.linalg.det(self.axes.T)) < 1e-12 * edge_scale:
-            raise ConfigError("lattice axes are singular or numerically dependent")
         if self.displacements is None:
             self.displacements = np.zeros(self.counts + (3,))
         self.displacements = np.array(self.displacements, dtype=float)
@@ -68,8 +65,14 @@ class FFDLattice:
                 f"displacement array shape {self.displacements.shape} does not match "
                 f"counts {self.counts}"
             )
-        for a in (self.origin, self.axes, self.displacements):
+        for name in ("origin", "axes", "displacements"):
+            a = getattr(self, name)
+            if not np.isfinite(a).all():
+                raise ConfigError(f"lattice {name} must be finite")
             a.flags.writeable = False
+        edge_scale = np.prod(np.linalg.norm(self.axes, axis=1))
+        if edge_scale == 0.0 or abs(np.linalg.det(self.axes.T)) < 1e-12 * edge_scale:
+            raise ConfigError("lattice axes are singular or numerically dependent")
 
     @property
     def box_matrix(self) -> np.ndarray:
@@ -102,12 +105,16 @@ class ParameterBinding:
         self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
         if len(self.bounds) < 1:
             raise ConfigError("binding needs at least one parameter")
+        if not np.isfinite(self.bounds).all():
+            raise ConfigError("binding bounds must be finite")
         if (self.bounds[:, 1] < self.bounds[:, 0]).any():
             raise ConfigError("parameter bounds must satisfy lo <= hi")
         for e in self.entries:
             e.index = tuple(int(i) for i in e.index)
             if e.axis not in (0, 1, 2):
                 raise ConfigError(f"binding axis must be 0, 1 or 2, got {e.axis}")
+            if not (_is_real(e.weight) and np.isfinite(e.weight)):
+                raise ConfigError(f"binding weight must be a finite number, got {e.weight!r}")
             if not 0 <= e.parameter < self.dimension:
                 raise ConfigError(
                     f"binding entry references parameter {e.parameter} "
@@ -142,6 +149,8 @@ def apply_parameters(lattice: FFDLattice, binding: ParameterBinding,
         raise DomainError(
             f"parameter vector has length {len(mu)}, binding expects {binding.dimension}"
         )
+    if not np.isfinite(mu).all():
+        raise DomainError("parameter vector must be finite")
     outside = (mu < binding.bounds[:, 0]) | (mu > binding.bounds[:, 1])
     if outside.any():
         warnings.warn(

@@ -1,10 +1,4 @@
-from .mesh import (
-    TriMesh,
-    load_mesh,
-    save_mesh,
-    load_scalar_field,
-    save_scalar_field,
-)
+from .mesh import TriMesh, load_mesh, save_mesh
 from .integrals import (
     ForceResult,
     boundary_edge_count,
@@ -20,7 +14,7 @@ from .primitives import demo_hull, icosphere, unit_cube
 
 __all__ = [
     "TriMesh", "ForceResult",
-    "load_mesh", "save_mesh", "load_scalar_field", "save_scalar_field",
+    "load_mesh", "save_mesh",
     "integrate_pressure_force", "enclosed_volume", "surface_area",
     "triangle_areas", "volume_centroid", "boundary_edge_count",
     "ittc57_drag", "ittc57_friction_coefficient",

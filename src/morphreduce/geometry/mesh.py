@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import MeshFormatError, ToolkitError
-from ..textio import FLOAT, read_csv, write_csv, write_text
+from ..textio import FLOAT, write_text
 
 _XYZ = f"{FLOAT} {FLOAT} {FLOAT}\n"
 _OBJ_VERTEX = "v " + _XYZ
@@ -362,35 +362,3 @@ def _write_stl_ascii(mesh: TriMesh, path) -> None:
         np.hstack([normals, a, b, c]).ravel().tolist())
     write_text(path, ("solid mesh\n", facets, "endsolid mesh\n"))
 
-
-def load_scalar_field(mesh: TriMesh, path, name: str) -> TriMesh:
-    """Attach a per-vertex scalar field from a sidecar CSV.
-
-    Expected layout: header ``vertex_index,value``, indices 0-based, exactly
-    one row per vertex.
-    """
-    header, data = read_csv(path)
-    if header[:2] != ["vertex_index", "value"] or data.shape[1] != len(header):
-        raise ToolkitError(f"{path}: expected header 'vertex_index,value' and rows as wide")
-    bad = ~np.isin(data[:, 0], np.arange(mesh.num_vertices))
-    if bad.any():
-        raise ToolkitError(f"{path}: vertex index {data[bad, 0][0]:g} is not in "
-                           f"0..{mesh.num_vertices - 1}")
-    index = data[:, 0].astype(np.intp)
-    first = np.zeros(len(index), dtype=bool)
-    first[np.unique(index, return_index=True)[1]] = True
-    if not first.all():
-        raise ToolkitError(f"{path}: vertex index {index[~first][0]} appears more than once")
-    values = np.full(mesh.num_vertices, np.nan)
-    values[index] = data[:, 1]
-    if np.isnan(values).any():
-        missing = int(np.isnan(values).sum())
-        raise ToolkitError(f"{path}: {missing} vertices have no field value")
-    return mesh.with_scalar_field(name, values)
-
-
-def save_scalar_field(mesh: TriMesh, name: str, path) -> None:
-    if name not in mesh.scalar_fields:
-        raise ToolkitError(f"mesh has no scalar field {name!r}")
-    values = mesh.scalar_fields[name]
-    write_csv(path, list(enumerate(values.tolist())), ["vertex_index", "value"])

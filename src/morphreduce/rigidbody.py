@@ -74,7 +74,7 @@ def quat_normalize(q) -> np.ndarray:
 def quat_to_rotation(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (body -> global coordinates)."""
     q = np.asarray(q, dtype=float)
-    if abs(np.linalg.norm(q) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(q) - 1.0) <= UNIT_TOL:
         raise DomainError(f"quaternion norm {np.linalg.norm(q):.3e} is not unit")
     s, x, y, z = q
     return np.array([
@@ -93,17 +93,21 @@ class BodyProperties:
     gravity: np.ndarray = None
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        if not (math.isfinite(self.mass) and self.mass > 0.0):
+            raise DomainError(f"mass must be finite and positive, got {self.mass}")
         self.inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
-        if np.abs(self.inertia - self.inertia.T).max() > 1e-12 * max(
-                np.abs(self.inertia).max(), 1.0):
-            raise DomainError("inertia tensor must be symmetric")
-        if np.linalg.eigvalsh(self.inertia).min() <= 0.0:
-            raise DomainError("inertia tensor must be positive definite")
         if self.gravity is None:
             self.gravity = np.array([0.0, 0.0, -9.81])
         self.gravity = np.asarray(self.gravity, dtype=float).reshape(3)
+        if not all(map(math.isfinite, self.gravity.tolist())):
+            raise DomainError("body gravity must be finite")
+        scale = float(np.abs(self.inertia).max())  # NaN or inf if any entry is
+        if not math.isfinite(scale):
+            raise DomainError("body inertia must be finite")
+        if np.abs(self.inertia - self.inertia.T).max() > 1e-12 * max(scale, 1.0):
+            raise DomainError("inertia tensor must be symmetric")
+        if np.linalg.eigvalsh(self.inertia).min() <= 0.0:
+            raise DomainError("inertia tensor must be positive definite")
 
 
 @dataclass
@@ -120,7 +124,11 @@ class RigidBodyState:
         self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3)
         self.quaternion = np.asarray(self.quaternion, dtype=float).reshape(4)
-        if abs(np.linalg.norm(self.quaternion) - 1.0) > UNIT_TOL:
+        for name in ("position", "velocity", "angular_velocity", "quaternion"):
+            if not all(map(math.isfinite, getattr(self, name).tolist())):
+                raise DomainError(f"state {name} must be finite")
+        qs, qx, qy, qz = self.quaternion.tolist()
+        if not abs(math.sqrt(qs * qs + qx * qx + qy * qy + qz * qz) - 1.0) <= UNIT_TOL:
             raise DomainError("state quaternion must have unit norm")
 
     def as_vector(self) -> np.ndarray:
@@ -136,6 +144,8 @@ def no_forces(t, state):
 def constant_forces(force, moment):
     force = np.asarray(force, dtype=float).reshape(3)
     moment = np.asarray(moment, dtype=float).reshape(3)
+    if not (np.isfinite(force).all() and np.isfinite(moment).all()):
+        raise DomainError("constant force and moment must be finite")
 
     def model(t, state):
         return force, moment
@@ -237,7 +247,7 @@ def _normalized(y):
     if n == 0.0:
         raise DomainError("cannot normalize a zero quaternion")
     qs, qx, qy, qz = qs / n, qx / n, qy / n, qz / n
-    if abs(math.sqrt(qs * qs + qx * qx + qy * qy + qz * qz) - 1.0) > UNIT_TOL:
+    if not abs(math.sqrt(qs * qs + qx * qx + qy * qy + qz * qz) - 1.0) <= UNIT_TOL:
         raise DomainError("state quaternion must have unit norm")
     return y[0:9] + [qs, qx, qy, qz]
 

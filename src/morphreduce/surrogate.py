@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EvaluatorError, _is_real, _require_int
 from .dmd import SnapshotSet
-from .geometry import TriMesh, enclosed_volume, ittc57_drag, save_mesh, surface_area
+from .geometry import TriMesh, enclosed_volume, ittc57_drag, surface_area
 from .textio import write_csv
 
 __all__ = [
@@ -125,8 +125,7 @@ def evaluate_objective(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
     """Evaluate f(mu); deterministic for a given (spec, mu).
 
     The volume-drag proxy needs the deformed mesh; external commands need a
-    path to it on disk (one is written to a temporary file if only the mesh
-    object is supplied).
+    path to it on disk.
     """
     mu = np.asarray(mu, dtype=float).reshape(-1)
     if spec.kind in RIDGE_KINDS:
@@ -146,7 +145,7 @@ def evaluate_objective(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
         drag = ittc57_drag(reynolds, spec.density, spec.speed, area)
         return float(drag + spec.volume_coefficient * abs(volume) ** (2.0 / 3.0))
     # external-command
-    return run_external(spec, mu, mesh=mesh, mesh_path=mesh_path)
+    return run_external(spec, mu, mesh_path)
 
 
 def objective_gradient(spec: ObjectiveSpec, mu) -> np.ndarray:
@@ -165,21 +164,17 @@ def objective_gradient(spec: ObjectiveSpec, mu) -> np.ndarray:
     return grad
 
 
-def run_external(spec: ObjectiveSpec, mu, mesh: TriMesh | None = None,
-                 mesh_path=None) -> float:
+def run_external(spec: ObjectiveSpec, mu, mesh_path) -> float:
     """Invoke ``cmd <mu-csv-file> <deformed-mesh-path>`` and parse its stdout.
 
     The process must print a scalar as its first token; the value is returned.
     """
+    if mesh_path is None:
+        raise EvaluatorError("external-command objective needs the deformed mesh's path")
     mu = np.asarray(mu, dtype=float).reshape(-1)
     with tempfile.TemporaryDirectory(prefix="morphreduce-") as tmp:
         mu_path = Path(tmp) / "mu.csv"
         write_csv(mu_path, [mu])
-        if mesh_path is None:
-            if mesh is None:
-                raise EvaluatorError("external-command objective needs a mesh or mesh path")
-            mesh_path = Path(tmp) / "mesh.obj"
-            save_mesh(mesh, mesh_path)
         argv = shlex.split(spec.command) + [str(mu_path), str(mesh_path)]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)

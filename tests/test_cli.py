@@ -208,6 +208,19 @@ class TestDmdCommands:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["rank"] == 2
 
+    def test_fit_refuses_a_nan_snapshot(self, tmp_path, snapshots_csv):
+        path, snaps = snapshots_csv
+        data = snaps.data.copy()
+        data[1, 6] = np.nan
+        dmd.save_snapshots_csv(dmd.SnapshotSet(data, snaps.t0, snaps.dt), path)
+        out = tmp_path / "model.json"
+        proc = run_cli("dmd", "fit", "--in", str(path), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: domain: snapshot data must be finite"), \
+            proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_predict_prints_state(self, tmp_path, snapshots_csv):
         path, snaps = snapshots_csv
         model_path = tmp_path / "model.json"
@@ -268,6 +281,23 @@ class TestFfdCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "mu_1,mu_2"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("field, message", [
+        ("bounds", "binding bounds must be finite"),
+        ("weight", "binding weight must be a finite number, got nan")])
+    def test_sample_refuses_a_nan_binding(self, tmp_path, ffd_doc, field, message):
+        doc = json.loads(ffd_doc.read_text())
+        if field == "bounds":
+            doc["binding"]["bounds"][1][0] = float("nan")
+        else:
+            doc["binding"]["entries"][0]["weight"] = float("nan")
+        ffd_doc.write_text(json.dumps(doc))
+        out = tmp_path / "samples.csv"
+        proc = run_cli("ffd", "sample", "--lattice", str(ffd_doc), "--n", "3",
+                       "--seed", "4", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: config: {ffd_doc}: {message}"), proc.stderr
+        assert not out.exists()
 
     def test_sample_without_seed_prints_one(self, tmp_path, ffd_doc):
         out = tmp_path / "samples.csv"
@@ -421,6 +451,21 @@ class TestRigidBodyCommand:
         assert len(rows) == 102
         z_final = float(rows[-1].split(",")[3])
         assert abs(z_final - (-0.5 * 9.81)) < 1e-10
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("quaternion", [float("nan"), 0, 0, 0], "state quaternion must be finite"),
+        ("velocity", [float("nan"), 0, 0], "state velocity must be finite")])
+    def test_nan_initial_state_is_domain_error(self, tmp_path, key, value, message):
+        cfg = tmp_path / "body.json"
+        cfg.write_text(json.dumps({"mass": 1.0, "inertia": np.eye(3).tolist(),
+                                   "initial": {key: value}}))
+        out = tmp_path / "traj.csv"
+        proc = run_cli("rigidbody", "simulate", "--config", str(cfg),
+                       "--t-end", "0.1", "--dt", "0.01", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: domain: {message}"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("t_end, dt", [
         ("1", "0"), ("1", "-0.1"), ("1", "nan"), ("1", "inf"), ("nan", "0.1"),

@@ -124,6 +124,17 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(SnapshotSet(np.eye(3)), mode_kind="oblique")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (17, 4), (-1, -1)])
+    @pytest.mark.parametrize("block_elements", [None, 100])  # 100: TSQR blocks of 10 rows
+    def test_non_finite_data_rejected(self, monkeypatch, bad, cell, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(dmd, "_BLOCK_ELEMENTS", block_elements)
+        data = np.random.default_rng(8).standard_normal((30, 10))
+        data[cell] = bad
+        with pytest.raises(DomainError, match="^snapshot data must be finite$"):
+            fit(SnapshotSet(data))
+
 
 def complex_state(model, k):
     """Theta Lambda^k b, evaluated column by column from the model's arrays."""
@@ -433,6 +444,13 @@ class TestPersistence:
         back = load_snapshots_bin(path)
         assert back.dt == 0.25
         assert np.array_equal(back.data, snaps.data)
+
+    def test_bin_refuses_a_nonzero_t0(self, tmp_path):
+        # the 24-byte header has no t0, so the file would read back at t0 = 0
+        path = tmp_path / "snaps.bin"
+        with pytest.raises(DomainError, match="t0 = 7.0"):
+            save_snapshots_bin(SnapshotSet(np.ones((2, 3)), t0=7.0), path)
+        assert not path.exists()
 
     def test_bin_truncation_detected(self, tmp_path):
         path = tmp_path / "trunc.bin"

@@ -76,6 +76,15 @@ class TestReferenceMap:
         with pytest.raises(ConfigError):
             FFDLattice(origin=[0, 0, 0], axes=np.eye(3), counts=(1, 2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["origin", "axes", "displacements"])
+    def test_non_finite_lattice_rejected(self, name, bad):
+        parts = dict(origin=np.zeros(3), axes=np.eye(3), counts=(2, 2, 2),
+                     displacements=np.zeros((2, 2, 2, 3)))
+        parts[name].flat[-1] = bad
+        with pytest.raises(ConfigError, match=f"^lattice {name} must be finite$"):
+            FFDLattice(**parts)
+
 
 class TestApplyParameters:
     def binding(self):
@@ -108,10 +117,23 @@ class TestApplyParameters:
         with pytest.raises(DomainError):
             apply_parameters(unit_lattice(), self.binding(), [0.1, 0.2])
 
+    def test_non_finite_mu_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="parameter vector must be finite"):
+            apply_parameters(unit_lattice(), self.binding(), [np.nan])
+
     def test_outside_bounds_warns_and_proceeds(self):
         with pytest.warns(UserWarning, match="outside"):
             out = apply_parameters(unit_lattice(), self.binding(), [0.5])
         assert out.displacements[1, 1, 1, 1] == 0.5
+
+    @pytest.mark.parametrize("bounds, weight, message", [
+        ([[-0.3, np.nan]], 1.0, "binding bounds must be finite"),
+        ([[-np.inf, 0.3]], 1.0, "binding bounds must be finite"),
+        ([[-0.3, 0.3]], np.nan, "binding weight must be a finite number, got nan"),
+        ([[-0.3, 0.3]], np.inf, "binding weight must be a finite number, got inf")])
+    def test_non_finite_binding_rejected(self, bounds, weight, message):
+        with pytest.raises(ConfigError, match=message):
+            ParameterBinding([BindingEntry(0, (1, 1, 1), 1, weight)], bounds=bounds)
 
     def test_entry_outside_counts_rejected(self):
         binding = ParameterBinding([BindingEntry(0, (5, 0, 0), 0, 1.0)],

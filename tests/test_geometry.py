@@ -1,4 +1,3 @@
-import re
 import sys
 import threading
 from importlib.resources import files
@@ -10,10 +9,8 @@ from morphreduce.errors import DomainError, MeshFormatError, MeshTopologyError, 
 from morphreduce.ffd import apply_parameters, deform_mesh, load_ffd_json, sample_parameters
 from morphreduce.geometry import (TriMesh, boundary_edge_count, demo_hull,
                                   enclosed_volume, icosphere, integrate_pressure_force, ittc57_drag,
-                                  ittc57_friction_coefficient, load_mesh,
-                                  load_scalar_field, save_mesh,
-                                  save_scalar_field, surface_area, unit_cube,
-                                  volume_centroid)
+                                  ittc57_friction_coefficient, load_mesh, save_mesh,
+                                  surface_area, unit_cube, volume_centroid)
 from morphreduce.geometry import integrals
 from morphreduce.geometry import mesh as mesh_module
 
@@ -342,31 +339,6 @@ class TestObjBulkParse:
 
 
 class TestScalarFields:
-    def test_sidecar_round_trip(self, tmp_path):
-        mesh = unit_cube()
-        values = np.arange(8, dtype=float) * 1.5 - 2.0
-        mesh = mesh.with_scalar_field("pressure", values)
-        path = tmp_path / "pressure.csv"
-        save_scalar_field(mesh, "pressure", path)
-        back = load_scalar_field(unit_cube(), path, "pressure")
-        assert np.array_equal(back.scalar_fields["pressure"], values)
-
-    @pytest.mark.parametrize("index", ["1.5", "-1", "8", "nan"])
-    def test_index_must_be_a_vertex_number(self, tmp_path, index):
-        path = tmp_path / "pressure.csv"
-        path.write_text("vertex_index,value\n" + "".join(f"{i},0\n" for i in range(7))
-                        + f"{index},0\n")
-        with pytest.raises(ToolkitError, match="vertex index"):
-            load_scalar_field(unit_cube(), path, "pressure")
-
-    def test_repeated_index_rejected(self, tmp_path):
-        path = tmp_path / "pressure.csv"
-        path.write_text("vertex_index,value\n" + "".join(f"{i},1\n" for i in range(12))
-                        + "0,99\n3,99\n")
-        with pytest.raises(ToolkitError, match=re.escape(f"{path}: vertex index 0 appears "
-                                                         "more than once")):
-            load_scalar_field(icosphere(0), path, "pressure")
-
     def test_missing_field_errors(self):
         with pytest.raises(ToolkitError, match="no scalar field"):
             integrate_pressure_force(unit_cube(), "pressure")

@@ -152,6 +152,10 @@ class TestRotationMatrix:
         with pytest.raises(DomainError):
             quat_to_rotation([1.0, 0.1, 0.0, 0.0])
 
+    def test_non_finite_quaternion_is_not_unit(self):
+        with pytest.raises(DomainError, match="is not unit"):
+            quat_to_rotation([np.nan, 0.0, 0.0, 0.0])
+
 
 class TestQuaternionKinematics:
     """The kinematic rate that reference_step integrates."""
@@ -190,6 +194,40 @@ class TestValidation:
     def test_state_quaternion_must_be_unit(self):
         with pytest.raises(DomainError):
             RigidBodyState([0, 0, 0], [0, 0, 0], [0, 0, 0], [1.0, 0.2, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["position", "velocity", "angular_velocity",
+                                      "quaternion"])
+    def test_state_must_be_finite(self, name, bad):
+        parts = dict(position=np.zeros(3), velocity=np.zeros(3),
+                     angular_velocity=np.zeros(3), quaternion=IDENTITY_Q.copy())
+        parts[name][0] = bad
+        with pytest.raises(DomainError, match=f"^state {name} must be finite$"):
+            RigidBodyState(**parts)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("mass", np.inf, "mass must be finite and positive"),
+        ("mass", np.nan, "mass must be finite and positive"),
+        ("inertia", np.diag([1.0, np.nan, 1.0]), "body inertia must be finite"),
+        ("gravity", [0.0, np.nan, -9.81], "body gravity must be finite")])
+    def test_body_must_be_finite(self, name, value, message):
+        parts = {"mass": 1.0, "inertia": np.eye(3), name: value}
+        with pytest.raises(DomainError, match=message):
+            BodyProperties(**parts)
+
+    @pytest.mark.parametrize("force, moment", [([np.nan, 0.0, 0.0], np.zeros(3)),
+                                               (np.zeros(3), [0.0, np.inf, 0.0])])
+    def test_constant_forces_must_be_finite(self, force, moment):
+        with pytest.raises(DomainError, match="constant force and moment must be finite"):
+            constant_forces(force, moment)
+
+    def test_non_finite_step_is_refused(self):
+        # a model's NaN moment makes the stepped quaternion NaN, which is not unit
+        state = RigidBodyState(np.zeros(3), np.zeros(3), np.zeros(3), IDENTITY_Q)
+        props = BodyProperties(mass=1.0, inertia=np.eye(3))
+        with pytest.raises(DomainError, match="unit norm"):
+            simulate(state, props, lambda t, s: (np.zeros(3), [np.nan, 0.0, 0.0]),
+                     0.0, 0.1, 0.01)
 
 
 class TestStep:

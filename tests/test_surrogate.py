@@ -199,6 +199,14 @@ class TestExternalCommand:
         with pytest.raises(EvaluatorError, match="status 3"):
             evaluate_objective(spec, [0.0], mesh_path=mesh_path)
 
+    def test_mesh_without_path_raises_before_running(self, tmp_path):
+        marker = tmp_path / "ran"
+        cmd = self.write_script(tmp_path, f"open({str(marker)!r}, 'w'); print(1.0)\n")
+        spec = ObjectiveSpec("external-command", command=cmd)
+        with pytest.raises(EvaluatorError, match="needs the deformed mesh's path"):
+            evaluate_objective(spec, [0.0], mesh=icosphere(0))
+        assert not marker.exists()
+
     def test_unparseable_output_raises(self, tmp_path):
         cmd = self.write_script(tmp_path, "print('not-a-number')\n")
         mesh_path = tmp_path / "mesh.obj"

@@ -8,7 +8,7 @@ from morphreduce import activesubspace as asub
 from morphreduce import dmd, ffd, rigidbody
 from morphreduce.campaign import (AnalysisSettings, CampaignConfig, analyze_campaign,
                                   run_campaign)
-from morphreduce.geometry import icosphere, load_scalar_field, save_mesh, save_scalar_field
+from morphreduce.geometry import icosphere, save_mesh
 from morphreduce.surrogate import ObjectiveSpec
 from morphreduce import textio
 from morphreduce.textio import write_text
@@ -62,14 +62,6 @@ def write_trajectory(path, rewrite=as_written):
     return data, textio.read_csv(path)[1]
 
 
-def write_scalar_field(path, rewrite=as_written):
-    mesh = icosphere(3)  # 642 vertices: integer and float columns over three row blocks
-    values = edge_matrix(mesh.num_vertices, 1, seed=2)[:, 0]
-    save_scalar_field(mesh.with_scalar_field("p", values), "p", path)
-    rewrite(path)
-    return values, load_scalar_field(mesh, path, "p").scalar_fields["p"]
-
-
 def write_snapshots(path, rewrite=as_written):
     data = edge_matrix(5, 11, seed=3)
     dmd.save_snapshots_csv(dmd.SnapshotSet(data, t0=-0.0, dt=5e-324), path)
@@ -79,7 +71,7 @@ def write_snapshots(path, rewrite=as_written):
         np.concatenate([[back.t0, back.dt], back.data.ravel()])
 
 
-WRITERS = [write_sample_table, write_trajectory, write_scalar_field, write_snapshots]
+WRITERS = [write_sample_table, write_trajectory, write_snapshots]
 
 
 @pytest.mark.parametrize("writer, rewrite", [
