@@ -90,18 +90,18 @@ class SampleTable:
     bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=float)
+        self.inputs = np.array(self.inputs, dtype=float)
         if self.inputs.ndim != 2:
             raise DomainError("inputs must be an (N, m) array")
-        self.outputs = np.asarray(self.outputs, dtype=float).reshape(-1)
+        self.outputs = np.array(self.outputs, dtype=float).reshape(-1)
         if len(self.outputs) != len(self.inputs):
             raise DomainError("outputs length does not match inputs")
         if self.gradients is not None:
-            self.gradients = np.asarray(self.gradients, dtype=float)
+            self.gradients = np.array(self.gradients, dtype=float)
             if self.gradients.shape != self.inputs.shape:
                 raise DomainError("gradients must have the same shape as inputs")
         if self.bounds is not None:
-            self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+            self.bounds = np.array(self.bounds, dtype=float).reshape(-1, 2)
             if len(self.bounds) != self.m:
                 raise DomainError("bounds must provide one interval per parameter")
         for name in ("inputs", "outputs", "gradients", "bounds"):

@@ -19,6 +19,7 @@ from . import activesubspace as asub
 from . import campaign as camp
 from . import dmd, ffd, rigidbody
 from .errors import ConfigError, ToolkitError
+from .geometry import load_mesh, save_mesh
 from .textio import csv_lines, read_json, write_csv, write_json
 
 logger = logging.getLogger("morphreduce.cli")
@@ -92,8 +93,6 @@ def _parse_bounds(text, m):
 # --- ffd ------------------------------------------------------------------
 
 def cmd_ffd_deform(args) -> int:
-    from .geometry import load_mesh, save_mesh
-
     lattice, binding = ffd.load_ffd_json(args.lattice)
     if args.mu is not None:
         if binding is None:
@@ -144,7 +143,7 @@ def cmd_dmd_predict(args) -> int:
 
 def cmd_as_analyze(args) -> int:
     table = asub.load_sample_table(args.infile)
-    if table.bounds is None and args.bounds is not None:
+    if args.bounds is not None:
         table = asub.SampleTable(table.inputs, table.outputs, table.gradients,
                                  _parse_bounds(args.bounds, table.m))
     # every setting is checked here, before any gradient is computed

@@ -31,6 +31,7 @@ part independent of b, so no (n*l x r) stack is ever formed.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -65,10 +66,12 @@ class SnapshotSet:
             raise DomainError("snapshot data must be a 2-D (n x l) array")
         if self.data.shape[1] < 2:
             raise DomainError(f"need at least 2 snapshots, got {self.data.shape[1]}")
-        if not self.dt > 0:
-            raise DomainError(f"sampling interval must be positive, got {self.dt}")
         self.dt = float(self.dt)
         self.t0 = float(self.t0)
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise DomainError(f"snapshot dt must be finite and > 0, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise DomainError(f"snapshot t0 must be finite, got {self.t0}")
 
     @property
     def n(self) -> int:
@@ -163,8 +166,6 @@ def fit(snapshots: SnapshotSet, rank=None, mode_kind: str = "exact",
     if amplitudes_from not in ("x1", "series"):
         raise ConfigError(f"amplitudes_from must be 'x1' or 'series', got {amplitudes_from!r}")
     data = snapshots.data
-    if not np.any(data):
-        raise DomainError("cannot fit DMD to an all-zero snapshot matrix")
     r_x = _r_factor(data)
     if not np.isfinite(r_x).all():  # a NaN or inf cell reaches R: no n-row scan
         raise DomainError("snapshot data must be finite")

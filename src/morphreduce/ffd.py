@@ -17,7 +17,7 @@ lattice box, so many deformations of one base mesh build it once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -52,8 +52,8 @@ class FFDLattice:
     displacements: np.ndarray = None
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float).reshape(3)
-        self.axes = np.asarray(self.axes, dtype=float).reshape(3, 3)
+        self.origin = np.array(self.origin, dtype=float).reshape(3)
+        self.axes = np.array(self.axes, dtype=float).reshape(3, 3)
         self.counts = tuple(int(c) for c in self.counts)
         if any(c < 2 for c in self.counts):
             raise ConfigError(f"lattice needs >= 2 control points per direction, got {self.counts}")
@@ -100,9 +100,10 @@ class ParameterBinding:
 
     def __post_init__(self):
         self.entries = [
-            e if isinstance(e, BindingEntry) else BindingEntry(*e) for e in self.entries
+            replace(e) if isinstance(e, BindingEntry) else BindingEntry(*e)
+            for e in self.entries
         ]
-        self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+        self.bounds = np.array(self.bounds, dtype=float).reshape(-1, 2)
         if len(self.bounds) < 1:
             raise ConfigError("binding needs at least one parameter")
         if not np.isfinite(self.bounds).all():

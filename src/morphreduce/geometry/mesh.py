@@ -1,9 +1,9 @@
 """Triangle surface data model and plain-text mesh I/O (OBJ, ASCII STL).
 
 Vertices are stored as an (V, 3) float64 array and triangles as a (T, 3)
-integer index array.  Meshes are immutable after construction: the arrays
-are locked read-only (an array the caller can still write, directly or
-through a view, is copied first), and field attachment returns a new mesh.
+integer index array.  Meshes are immutable after construction: every array
+is copied and the copy locked read-only, so no caller can write to it, and
+field attachment returns a new mesh.
 Meshes derived with with_vertices or with_scalar_field share one
 connectivity cache.  It holds what depends on the triangles alone, computed
 once per connectivity: topology facts (closedness) and the OBJ face block.
@@ -41,20 +41,8 @@ _STL_FACET = ("  facet normal " + _XYZ + "    outer loop\n" + ("      vertex " +
 
 
 def _as_locked(a, dtype, shape) -> np.ndarray:
-    """a as a read-only C-contiguous array that no caller can write through.
-
-    An array the caller passed in is copied if it, or any array it is a view
-    of, is writable; a locked one, such as the triangles with_vertices passes
-    on, is kept.  The result's base is locked too, so that a mesh's own
-    arrays pass through here again without a copy.
-    """
-    arr = base = np.asarray(a, dtype=dtype)
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if isinstance(base, np.ndarray):
-        arr = arr.copy()
-    arr.flags.writeable = False
-    arr = np.ascontiguousarray(arr.reshape(shape))
+    """A read-only C-contiguous copy of a: no caller holds a reference to it."""
+    arr = np.array(np.reshape(a, shape), dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -222,7 +210,6 @@ def _parse_plain_obj(text: str) -> TriMesh | None:
     if t.size and (t.min() < 1 or t.max() > nv):
         return None
     t -= 1
-    v.flags.writeable = t.flags.writeable = False  # no caller holds them: no copy
     return TriMesh(v.reshape(-1, 3), t.reshape(-1, 3))
 
 

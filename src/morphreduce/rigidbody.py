@@ -95,10 +95,10 @@ class BodyProperties:
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise DomainError(f"mass must be finite and positive, got {self.mass}")
-        self.inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
+        self.inertia = np.array(self.inertia, dtype=float).reshape(3, 3)
         if self.gravity is None:
-            self.gravity = np.array([0.0, 0.0, -9.81])
-        self.gravity = np.asarray(self.gravity, dtype=float).reshape(3)
+            self.gravity = (0.0, 0.0, -9.81)
+        self.gravity = np.array(self.gravity, dtype=float).reshape(3)
         if not all(map(math.isfinite, self.gravity.tolist())):
             raise DomainError("body gravity must be finite")
         scale = float(np.abs(self.inertia).max())  # NaN or inf if any entry is
@@ -120,10 +120,10 @@ class RigidBodyState:
     quaternion: np.ndarray
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-        self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3)
-        self.quaternion = np.asarray(self.quaternion, dtype=float).reshape(4)
+        self.position = np.array(self.position, dtype=float).reshape(3)
+        self.velocity = np.array(self.velocity, dtype=float).reshape(3)
+        self.angular_velocity = np.array(self.angular_velocity, dtype=float).reshape(3)
+        self.quaternion = np.array(self.quaternion, dtype=float).reshape(4)
         for name in ("position", "velocity", "angular_velocity", "quaternion"):
             if not all(map(math.isfinite, getattr(self, name).tolist())):
                 raise DomainError(f"state {name} must be finite")

@@ -67,14 +67,14 @@ class ObjectiveSpec:
         if self.kind in RIDGE_KINDS:
             if self.direction is None:
                 raise ConfigError(f"{self.kind} objective needs a direction vector")
-            self.direction = np.asarray(self.direction, dtype=float).reshape(-1)
+            self.direction = np.array(self.direction, dtype=float).reshape(-1)
             if not np.any(self.direction):
                 raise ConfigError("ridge direction must be nonzero")
             if self.profile is None:
                 # h(x) = x^2 + 0.5 x for ridge, x^4 for quartic-ridge
-                self.profile = np.array([0.0, 0.5, 1.0]) if self.kind == "ridge" \
-                    else np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-            self.profile = np.asarray(self.profile, dtype=float).reshape(-1)
+                self.profile = (0.0, 0.5, 1.0) if self.kind == "ridge" \
+                    else (0.0, 0.0, 0.0, 0.0, 1.0)
+            self.profile = np.array(self.profile, dtype=float).reshape(-1)
             for name in ("direction", "profile"):
                 values = getattr(self, name)
                 if not np.isfinite(values).all():

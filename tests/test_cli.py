@@ -221,6 +221,17 @@ class TestDmdCommands:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_fit_refuses_a_nan_start_time(self, tmp_path):
+        path = tmp_path / "snaps.csv"
+        path.write_text("nan,0.1\n1,0.9,0.81,0.729\n2,1.8,1.62,1.458\n")
+        out = tmp_path / "model.json"
+        proc = run_cli("dmd", "fit", "--in", str(path), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: domain: snapshot t0 must be finite, got nan"), \
+            proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_predict_prints_state(self, tmp_path, snapshots_csv):
         path, snaps = snapshots_csv
         model_path = tmp_path / "model.json"

@@ -69,6 +69,13 @@ class TestShiftPair:
         with pytest.raises(DomainError):
             SnapshotSet(np.ones((3, 1)))
 
+    @pytest.mark.parametrize("field, t0, dt", [
+        ("t0", np.nan, 1.0), ("t0", np.inf, 1.0), ("t0", -np.inf, 1.0),
+        ("dt", 0.0, np.nan), ("dt", 0.0, np.inf), ("dt", 0.0, 0.0), ("dt", 0.0, -0.1)])
+    def test_non_finite_or_non_positive_time_rejected(self, field, t0, dt):
+        with pytest.raises(DomainError, match=f"snapshot {field} must be finite"):
+            SnapshotSet(np.ones((3, 2)), t0=t0, dt=dt)
+
 
 class TestFit:
     def test_constant_series_fixed_point(self):
@@ -95,7 +102,7 @@ class TestFit:
         assert abs(model.eigenvalues[0] - 0.9) < 1e-10
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DomainError, match="all-zero"):
+        with pytest.raises(DomainError, match="shift matrix S is zero"):
             fit(SnapshotSet(np.zeros((3, 5))))
 
     def test_requested_rank_above_nonzero_singulars_warns(self):
