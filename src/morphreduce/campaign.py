@@ -16,9 +16,10 @@ Samples are independent units of work; every record is written atomically
 and an interrupted run resumes by skipping indices that already have an ok
 record for the same parameter vector; failed records are retried.  Each
 record carries the run's configuration fingerprint (_fingerprint), and a
-record of another configuration stops the resume.  All randomness is
-derived from (campaign seed, sample index), so results are byte-identical
-across reruns and thread counts.
+record of another configuration stops the resume.  A rerun with nothing
+left to compute parses no mesh, and it leaves a manifest whose content is
+unchanged as it is.  All randomness is derived from (campaign seed, sample
+index), so results are byte-identical across reruns and thread counts.
 """
 
 from __future__ import annotations
@@ -411,16 +412,34 @@ def _reusable_record(run_dir: Path, index: int, mu: np.ndarray,
     return record
 
 
+def _write_manifest(path: Path, manifest: dict) -> None:
+    """Write manifest unless the file at path already parses to the same content.
+
+    Contents are compared in the compact sorted form of json's C encoder, in
+    which a tuple and the list it reads back as are the same text.
+    """
+    try:
+        found = json.loads(path.read_text())
+    except (OSError, ValueError):  # missing, unreadable or not JSON
+        found = None
+    if found is None or (json.dumps(found, sort_keys=True)
+                         != json.dumps(manifest, sort_keys=True)):
+        write_json(path, manifest)
+
+
 def run_campaign(config: CampaignConfig, threads: int | None = None,
                  resume: bool = True) -> list:
     """Execute the full sampling campaign; returns the list of SampleRecord.
 
     threads bounds the worker pool; None uses every available CPU.
-    Writes run_dir/manifest.json plus one samples/NNN/ directory per sample.
+    Writes one samples/NNN/ directory per sample it computes, and
+    run_dir/manifest.json unless the manifest there already holds the same
+    content.  The base mesh is parsed only when some sample needs computing.
     Per-sample failures are recorded and isolated; config-level problems
     (bad mesh, bad lattice, an active dimension the binding cannot have, a
     ridge direction of another length than the binding, resumable records of
-    another configuration) abort before any evaluation.
+    another configuration) abort before any evaluation; a fresh run then
+    leaves no run directory.
     """
     if threads is not None and threads < 1:
         raise ConfigError(f"thread count must be positive, got {threads}")
@@ -433,16 +452,16 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
     if config.objective.kind in RIDGE_KINDS and len(direction) != binding.dimension:
         raise ConfigError(f"objective direction has {len(direction)} entries, but the "
                           f"binding has {binding.dimension} parameters")
-    base_mesh = load_mesh(config.mesh_path)
     mus = sample_parameters(binding, config.n_samples, scheme=config.scheme,
                             seed=config.seed)
     fingerprint = _fingerprint(config)
     run_dir = Path(config.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
     records = [_reusable_record(run_dir, i, mus[i], fingerprint) if resume else None
                for i in range(config.n_samples)]
     todo = [i for i, r in enumerate(records) if r is None]
+    # reused records were made from these mesh bytes (the fingerprint hashes them)
+    base_mesh = load_mesh(config.mesh_path) if todo else None
+    run_dir.mkdir(parents=True, exist_ok=True)
     probe_mix = _probe_mix(config) if config.time_resolved else None
 
     def work(i):
@@ -461,7 +480,7 @@ def run_campaign(config: CampaignConfig, threads: int | None = None,
         "n_ok": sum(1 for r in records if r.status == "ok"),
         "records": [r.to_doc() for r in records],
     }
-    write_json(run_dir / "manifest.json", manifest)
+    _write_manifest(run_dir / "manifest.json", manifest)
     n_failed = config.n_samples - manifest["n_ok"]
     logger.info("campaign finished: %d ok, %d failed", manifest["n_ok"], n_failed)
     return records

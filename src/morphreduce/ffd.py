@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _is_real
+from .errors import ConfigError, DomainError, _is_real, _require_int
 from .geometry import TriMesh
 from .textio import read_json, write_json
 
@@ -112,8 +112,8 @@ class ParameterBinding:
             raise ConfigError("parameter bounds must satisfy lo <= hi")
         for e in self.entries:
             e.index = tuple(int(i) for i in e.index)
-            if e.axis not in (0, 1, 2):
-                raise ConfigError(f"binding axis must be 0, 1 or 2, got {e.axis}")
+            _require_int("binding parameter", e.parameter, 0)
+            _require_int("binding axis", e.axis, 0, 2)
             if not (_is_real(e.weight) and np.isfinite(e.weight)):
                 raise ConfigError(f"binding weight must be a finite number, got {e.weight!r}")
             if not 0 <= e.parameter < self.dimension:

@@ -8,7 +8,9 @@ Meshes derived with with_vertices or with_scalar_field share one
 connectivity cache.  It holds what depends on the triangles alone, computed
 once per connectivity: topology facts (closedness) and the OBJ face block.
 It also holds the OBJ vertex lines of the first mesh written, so that
-writing a deformed copy formats only the vertices that moved.  Each mesh
+writing a deformed copy formats only the vertices that moved.  Both OBJ
+entries are built under one module lock, so writers racing on a fresh
+connectivity format each block once.  Each mesh
 also has a memo of its own, which no derived mesh shares: what depends on
 its vertices too, such as its volume integrals and the FFD reference basis
 of its vertices.
@@ -24,6 +26,7 @@ is the only source of MeshFormatError messages.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
@@ -38,6 +41,9 @@ _OBJ_VERTEX = "v " + _XYZ
 _OBJ_FACE = "f %d %d %d\n"
 _STL_FACET = ("  facet normal " + _XYZ + "    outer loop\n" + ("      vertex " + _XYZ) * 3
               + "    endloop\n  endfacet\n")
+
+
+_CONNECTIVITY_LOCK = threading.Lock()  # guards building _connectivity entries
 
 
 def _as_locked(a, dtype, shape) -> np.ndarray:
@@ -266,6 +272,21 @@ def _obj_rows(template: str, rows: np.ndarray) -> str:
     return (template * len(rows)) % tuple(rows.ravel().tolist())
 
 
+def _connectivity_entry(mesh: TriMesh, key: str, build):
+    """mesh._connectivity[key], set to build() by the first writer that asks.
+
+    Writers that race on a fresh connectivity wait for that one build rather
+    than each formatting the whole block.
+    """
+    entry = mesh._connectivity.get(key)
+    if entry is None:
+        with _CONNECTIVITY_LOCK:
+            entry = mesh._connectivity.get(key)
+            if entry is None:
+                entry = mesh._connectivity[key] = build()
+    return entry
+
+
 def _obj_vertex_lines(mesh: TriMesh) -> list:
     """The `v` lines of mesh, formatting only rows that differ from the reference.
 
@@ -276,13 +297,13 @@ def _obj_vertex_lines(mesh: TriMesh) -> list:
     only ever read a consistent pair.
     """
     v = mesh.vertices
-    reference = mesh._connectivity.get("obj_vertex_lines")
-    if reference is None or len(reference[0]) != len(v):
-        lines = _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)
-        if reference is None:
-            mesh._connectivity["obj_vertex_lines"] = (v, lines)
-        return lines
-    ref_v, ref_lines = reference
+    ref_v, ref_lines = _connectivity_entry(
+        mesh, "obj_vertex_lines",
+        lambda: (v, _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)))
+    if ref_v is v:
+        return ref_lines
+    if len(ref_v) != len(v):
+        return _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)
     moved = np.flatnonzero((v.view(np.int64) != ref_v.view(np.int64)).any(axis=1))
     lines = list(ref_lines)
     for i, line in zip(moved.tolist(),
@@ -292,9 +313,8 @@ def _obj_vertex_lines(mesh: TriMesh) -> list:
 
 
 def _write_obj(mesh: TriMesh, path) -> None:
-    faces = mesh._connectivity.get("obj_faces")
-    if faces is None:
-        faces = mesh._connectivity["obj_faces"] = _obj_rows(_OBJ_FACE, mesh.triangles + 1)
+    faces = _connectivity_entry(mesh, "obj_faces",
+                                lambda: _obj_rows(_OBJ_FACE, mesh.triangles + 1))
     write_text(path, ("".join(_obj_vertex_lines(mesh)), faces))
 
 

@@ -13,7 +13,7 @@ from morphreduce.campaign import (AnalysisSettings, CampaignConfig, DMDSettings,
                                   load_campaign_config, load_run_records, run_campaign,
                                   trim_proxy)
 from morphreduce.dmd import SnapshotSet, fit, reconstruct_series
-from morphreduce.errors import ConfigError, DomainError
+from morphreduce.errors import ConfigError, DomainError, MeshFormatError
 from morphreduce.ffd import BindingEntry, FFDLattice, ParameterBinding, save_ffd_json
 import morphreduce.geometry.mesh as mesh_module
 from morphreduce.geometry import demo_hull, icosphere, save_mesh
@@ -513,6 +513,86 @@ class TestRunCampaign:
         assert resumed["records"] == fresh["records"] == [r.to_doc() for r in records]
         assert resumed["fingerprint"] == fresh["fingerprint"]
         assert resumed["config"]["analysis"]["degree"] == 2
+
+    def test_rerun_with_every_record_reused_parses_no_mesh(self, workspace, monkeypatch):
+        config = self.config(workspace, n_samples=4, time_resolved=True, n_channels=6)
+        first = run_campaign(config, threads=2)
+        manifest_file = camp.Path(config.output_dir) / "manifest.json"
+        before = manifest_file.read_bytes(), manifest_file.stat()
+
+        def refuse(path, validate=True):
+            raise AssertionError(f"mesh {path} parsed on a rerun with nothing to compute")
+
+        monkeypatch.setattr(camp, "load_mesh", refuse)
+        calls = self.counting_run_sample(monkeypatch)
+        records = run_campaign(config, threads=2)
+        assert calls == []
+        assert [r.to_doc() for r in records] == [r.to_doc() for r in first]
+        after = manifest_file.read_bytes(), manifest_file.stat()
+        assert after[0] == before[0]
+        assert (after[1].st_ino, after[1].st_mtime_ns) == (before[1].st_ino,
+                                                          before[1].st_mtime_ns)
+
+    def test_rerun_parses_the_mesh_once_for_a_missing_record(self, workspace, monkeypatch):
+        config = self.config(workspace, n_samples=4)
+        first = run_campaign(config, threads=2)
+        run_dir = camp.Path(config.output_dir)
+        manifest = (run_dir / "manifest.json").read_bytes()
+        (run_dir / "samples" / "002" / "record.json").unlink()
+        loads = []
+        original = camp.load_mesh
+
+        def counting(path, validate=True):
+            loads.append(path)
+            return original(path, validate)
+
+        monkeypatch.setattr(camp, "load_mesh", counting)
+        calls = self.counting_run_sample(monkeypatch)
+        records = run_campaign(config, threads=2)
+        assert loads == [config.mesh_path]
+        assert calls == [2]
+        assert [r.to_doc() for r in records] == [r.to_doc() for r in first]
+        assert (run_dir / "manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "not_json", "empty", "edited"])
+    def test_damaged_manifest_rewritten(self, workspace, damage):
+        config = self.config(workspace, n_samples=3)
+        run_campaign(config, threads=1)
+        manifest_file = camp.Path(config.output_dir) / "manifest.json"
+        good = manifest_file.read_bytes()
+        if damage == "missing":
+            manifest_file.unlink()
+        elif damage == "truncated":
+            manifest_file.write_bytes(good[:len(good) // 2])
+        elif damage == "not_json":
+            manifest_file.write_bytes(b"\xff\xfe not a manifest")
+        elif damage == "empty":
+            manifest_file.write_bytes(b"")
+        else:
+            doc = json.loads(good)
+            doc["n_ok"] = 0
+            manifest_file.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        run_campaign(config, threads=1)
+        assert manifest_file.read_bytes() == good
+
+    @pytest.mark.parametrize("mesh_text, error, message", [
+        (None, FileNotFoundError, "No such file or directory"),
+        ("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n", MeshFormatError,
+         "1 degenerate triangle"),
+        ("v 0 0 0\nf 1 2 3\n", MeshFormatError, "face index 2 out of range")])
+    def test_bad_mesh_on_fresh_run_leaves_no_run_directory(self, workspace, mesh_text,
+                                                          error, message):
+        tmp_path, _, _ = workspace
+        mesh_path = tmp_path / "bad.obj"
+        if mesh_text is not None:
+            mesh_path.write_text(mesh_text)
+        config = self.config(workspace, mesh_path=str(mesh_path))
+        with pytest.raises(error, match=message) as raised:
+            run_campaign(config, threads=1)
+        with pytest.raises(error) as direct:  # the error load_mesh gives on its own
+            camp.load_mesh(mesh_path)
+        assert str(raised.value) == str(direct.value)
+        assert not (tmp_path / "run").exists()
 
     def test_fingerprint_is_of_file_bytes_not_paths(self, workspace):
         tmp_path, ffd_path, mesh_path = workspace

@@ -284,6 +284,22 @@ class TestFfdCommands:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_deform_fractional_binding_parameter_is_config_error(self, tmp_path, ffd_doc):
+        doc = json.loads(ffd_doc.read_text())
+        doc["binding"]["entries"][0]["parameter"] = 0.5
+        ffd_doc.write_text(json.dumps(doc))
+        mesh_path = tmp_path / "mesh.obj"
+        save_mesh(icosphere(1), mesh_path)
+        out = tmp_path / "o.obj"
+        proc = run_cli("ffd", "deform", "--lattice", str(ffd_doc), "--mu", "0.1,0.1",
+                       "--in", str(mesh_path), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: config: {ffd_doc}: binding parameter must be an int >= 0, got 0.5"), \
+            proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_sample_writes_table(self, tmp_path, ffd_doc):
         out = tmp_path / "samples.csv"
         proc = run_cli("ffd", "sample", "--lattice", str(ffd_doc), "--n", "10",

@@ -135,6 +135,21 @@ class TestApplyParameters:
         with pytest.raises(ConfigError, match=message):
             ParameterBinding([BindingEntry(0, (1, 1, 1), 1, weight)], bounds=bounds)
 
+    @pytest.mark.parametrize("entry, message", [
+        ((0.5, (1, 0, 1), 0), r"^binding parameter must be an int >= 0, got 0\.5$"),
+        ((True, (1, 0, 1), 0), r"^binding parameter must be an int >= 0, got True$"),
+        ((0, (1, 0, 1), 2.0), r"^binding axis must be an int in \[0, 2\], got 2\.0$"),
+        ((0, (1, 0, 1), 3), r"^binding axis must be an int in \[0, 2\], got 3$")])
+    def test_non_integer_parameter_or_axis_rejected(self, entry, message):
+        with pytest.raises(ConfigError, match=message):
+            ParameterBinding([BindingEntry(*entry)], bounds=[[-1, 1]])
+
+    def test_numpy_integer_parameter_and_axis_accepted(self):
+        binding = ParameterBinding([BindingEntry(np.int64(0), (1, 1, 1), np.int32(1))],
+                                   bounds=[[-1, 1]])
+        out = apply_parameters(unit_lattice(), binding, [0.25])
+        assert out.displacements[1, 1, 1, 1] == 0.25
+
     def test_entry_outside_counts_rejected(self):
         binding = ParameterBinding([BindingEntry(0, (5, 0, 0), 0, 1.0)],
                                    bounds=[[-1, 1]])

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from importlib.resources import files
 
 import numpy as np
@@ -140,6 +141,40 @@ class TestObjWriter:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+    @pytest.mark.parametrize("n_threads", [2, 3, 4])
+    def test_racing_writers_format_each_block_once(self, tmp_path, monkeypatch, n_threads):
+        base = icosphere(2)
+        meshes = []
+        for k in range(n_threads):
+            v = np.array(base.vertices)
+            v[k] += 0.5  # one moved row each, so only a block build is full-size
+            meshes.append(base.with_vertices(v))
+        full = []
+        original = mesh_module._obj_rows
+
+        def slow_counting(template, rows):
+            if len(rows) in (base.num_vertices, base.num_triangles):
+                full.append(template)
+                time.sleep(0.05)  # holds the build open while the other writers arrive
+            return original(template, rows)
+
+        monkeypatch.setattr(mesh_module, "_obj_rows", slow_counting)
+        start = threading.Barrier(n_threads)
+
+        def writer(k):
+            start.wait()
+            save_mesh(meshes[k], tmp_path / f"{k}.obj")
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(full) == sorted([mesh_module._OBJ_FACE, mesh_module._OBJ_VERTEX])
+        for k, mesh in enumerate(meshes):
+            assert (tmp_path / f"{k}.obj").read_bytes() == per_vertex_obj_text(mesh).encode()
 
     def test_demo_hull_reproduces_shipped_file(self, tmp_path):
         path = tmp_path / "hull.obj"
