@@ -107,10 +107,10 @@ class CampaignConfig:
             raise ConfigError("campaign outputs must be a list of strings, "
                               f"got {self.outputs!r}")
         self.outputs = tuple(self.outputs)
-        if not self.outputs:
-            raise ConfigError("campaign needs at least one tracked output")
-        if any(c in name for name in self.outputs for c in ',"\r\n'):  # CSVs are unquoted
-            raise ConfigError(f"output name with a comma, quote or newline in {self.outputs}")
+        known = set(self.outputs) & {"resistance", "trim"}
+        if not self.outputs or len(known) < len(self.outputs):  # each name once, no other
+            raise ConfigError("campaign outputs must be distinct names from 'resistance' "
+                              f"and 'trim', got {list(self.outputs)!r}")
         if not isinstance(self.time_resolved, bool):
             raise ConfigError("campaign time_resolved must be true or false, "
                               f"got {self.time_resolved!r}")

@@ -223,6 +223,8 @@ def predict_next(model: DMDModel, x) -> np.ndarray:
 
 def predict_at_time(model: DMDModel, t: float) -> np.ndarray:
     """Forecast at absolute time t (continuous eigenvalue power (t - t0)/dt)."""
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t}")
     k = (t - model.t0) / model.dt
     if k < 0:
         raise DomainError(f"time {t} precedes the training start {model.t0}")

@@ -12,11 +12,6 @@ class ToolkitError(Exception):
 
     code = "error"
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class MeshFormatError(ToolkitError):
     """A mesh file could not be parsed."""

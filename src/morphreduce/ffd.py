@@ -10,8 +10,8 @@ outside [0, 1]^3 are returned untouched.
 The blend weights depend only on an undeformed point's reference coordinates,
 so deform_points builds a reference basis (the Bernstein matrices of the
 points in the box) and then blends the displacements through it.
-deform_mesh keeps the basis of a mesh's vertices in that mesh's memo, per
-lattice box, so many deformations of one base mesh build it once.
+deform_mesh keeps the basis of a mesh's vertices in that mesh's memo, tagged
+with the lattice box, so many deformations of one base mesh build it once.
 """
 
 from __future__ import annotations
@@ -237,18 +237,14 @@ def deform_point(lattice: FFDLattice, point) -> np.ndarray:
 def deform_mesh(lattice: FFDLattice, mesh: TriMesh) -> TriMesh:
     """Deform every vertex; connectivity and attached fields are preserved.
 
-    The reference basis of mesh's vertices is kept in mesh's memo for the
-    last lattice box (origin, axes, counts) it was deformed by, so deforming
-    one base mesh by many displacements of one lattice builds it once.
+    The reference basis of mesh's vertices is kept in mesh's memo as
+    "ffd_basis", tagged with the lattice box (origin, axes, counts): many
+    displacements of one lattice build it once, and another box replaces it.
     """
-    key = (lattice.origin.tobytes(), lattice.axes.tobytes(), lattice.counts)
-    kept = mesh._memo.get("ffd_basis")
-    if kept is None or kept[0] != key:
-        # one assignment: concurrent callers read a consistent (key, basis) pair,
-        # and a racing build only repeats the same work
-        basis = list(_reference_basis(lattice, mesh.vertices))
-        kept = mesh._memo["ffd_basis"] = (key, basis)
-    return mesh.with_vertices(_blend(lattice, mesh.vertices, kept[1]))
+    box = (lattice.origin.tobytes(), lattice.axes.tobytes(), lattice.counts)
+    basis = mesh.memo_entry(
+        "ffd_basis", lambda: list(_reference_basis(lattice, mesh.vertices)), tag=box)
+    return mesh.with_vertices(_blend(lattice, mesh.vertices, basis))
 
 
 def sample_parameters(binding: ParameterBinding, n: int,

@@ -5,8 +5,7 @@ three vertex values), which is exact for fields varying linearly over each
 triangle.  Accumulation is a plain numpy sum over the triangle axis, so
 results are run-to-run identical for a given mesh.  The enclosed volume and
 its first moment come from one pass over the signed tetrahedra, kept in the
-mesh's own memo; the FFD reference basis of a base mesh is kept there too,
-per lattice box (see ffd.deform_mesh).
+mesh's own memo; the closedness count is kept once per connectivity.
 """
 
 from __future__ import annotations
@@ -72,21 +71,9 @@ def integrate_pressure_force(mesh: TriMesh, pressure_field: str,
     return ForceResult(force=force, resistance=float(force[0]))
 
 
-def _cached_boundary_edge_count(mesh: TriMesh) -> int:
-    """boundary_edge_count, computed once per connectivity.
-
-    The count depends only on the triangles, which every mesh derived
-    through with_vertices or with_scalar_field shares, so it is kept in
-    their common connectivity cache.
-    """
-    cache = mesh._connectivity
-    if "boundary_edges" not in cache:
-        cache["boundary_edges"] = boundary_edge_count(mesh)
-    return cache["boundary_edges"]
-
-
 def _require_closed(mesh: TriMesh) -> None:
-    n_boundary = _cached_boundary_edge_count(mesh)
+    # boundary_edge_count is looked up when built, so a wrapper around it sees the call
+    n_boundary = mesh.connectivity_entry("boundary_edges", lambda: boundary_edge_count(mesh))
     if mesh.num_triangles == 0 or n_boundary:
         raise MeshTopologyError(
             f"open surface or inconsistent winding: {n_boundary} boundary edge(s)"
@@ -101,14 +88,13 @@ def _volume_moment(mesh: TriMesh):
     mesh's memo; an open mesh raises on every call and memoizes nothing.
     """
     _require_closed(mesh)
-    kept = mesh._memo.get("volume_moment")
-    if kept is None:
+
+    def build():
         a, b, c = mesh.corner_coordinates()
         det = np.einsum("ij,ij->i", a, _cross(b, c))
         tet_centroid = (a + b + c) / 4.0  # fourth vertex is the origin
-        kept = mesh._memo["volume_moment"] = (
-            float(det.sum() / 6.0), (det[:, None] * tet_centroid).sum(axis=0) / 6.0)
-    return kept
+        return float(det.sum() / 6.0), (det[:, None] * tet_centroid).sum(axis=0) / 6.0
+    return mesh.memo_entry("volume_moment", build)
 
 
 def enclosed_volume(mesh: TriMesh) -> float:

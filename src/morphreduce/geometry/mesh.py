@@ -3,17 +3,18 @@
 Vertices are stored as an (V, 3) float64 array and triangles as a (T, 3)
 integer index array.  Meshes are immutable after construction: every array
 is copied and the copy locked read-only, so no caller can write to it, and
-field attachment returns a new mesh.
-Meshes derived with with_vertices or with_scalar_field share one
-connectivity cache.  It holds what depends on the triangles alone, computed
-once per connectivity: topology facts (closedness) and the OBJ face block.
-It also holds the OBJ vertex lines of the first mesh written, so that
-writing a deformed copy formats only the vertices that moved.  Both OBJ
-entries are built under one module lock, so writers racing on a fresh
-connectivity format each block once.  Each mesh
-also has a memo of its own, which no derived mesh shares: what depends on
-its vertices too, such as its volume integrals and the FFD reference basis
-of its vertices.
+field attachment returns a new mesh.  A vertex with a NaN or infinite
+coordinate is refused when the mesh is built.
+
+A mesh keeps derived facts in two caches of one kind (_Cache).  The
+connectivity cache, shared by every mesh derived with with_vertices or
+with_scalar_field, holds what depends on the triangles alone (closedness,
+the OBJ face block) and the OBJ vertex lines of the first mesh written, so
+that writing a deformed copy formats only the vertices that moved.  The
+memo, each mesh's own, holds what depends on its vertices too: its volume
+integrals and the FFD reference basis of its vertices.  One rule serves
+both: the first caller that asks for an entry builds it, racing callers
+wait for that build, and an entry asked for under another tag is rebuilt.
 
 OBJ files that hold only `v x y z` lines followed by only `f i j k` lines,
 as save_mesh writes them, are parsed in bulk: one whitespace split of the
@@ -21,7 +22,8 @@ whole text and one float or int conversion pass, with the same converters
 the line parser uses, so the arrays are bitwise the same.  Every other file
 (comments, blank lines, other records, `/` references, quads, interleaved
 records, bad numbers, out-of-range indices) goes to the line parser, which
-is the only source of MeshFormatError messages.
+is the only source of MeshFormatError messages about the text; both paths
+name the file when the mesh refuses a vertex (_parsed_mesh).
 """
 
 from __future__ import annotations
@@ -43,14 +45,33 @@ _STL_FACET = ("  facet normal " + _XYZ + "    outer loop\n" + ("      vertex " +
               + "    endloop\n  endfacet\n")
 
 
-_CONNECTIVITY_LOCK = threading.Lock()  # guards building _connectivity entries
-
-
 def _as_locked(a, dtype, shape) -> np.ndarray:
     """A read-only C-contiguous copy of a: no caller holds a reference to it."""
     arr = np.array(np.reshape(a, shape), dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
+
+
+class _Cache:
+    """Entries built once: the first caller that asks builds, racing callers wait.
+
+    An entry asked for under another tag than it was built with is built
+    again and replaces it.  Each cache has its own lock, which is not
+    reentrant: a build must never ask its own cache.
+    """
+
+    def __init__(self):
+        self._entries = {}  # key -> (tag, value), each pair set in one assignment
+        self._lock = threading.Lock()
+
+    def get(self, key, build, tag=None):
+        entry = self._entries.get(key)
+        if entry is None or entry[0] != tag:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is None or entry[0] != tag:
+                    entry = self._entries[key] = (tag, build())
+        return entry[1]
 
 
 @dataclass
@@ -63,16 +84,19 @@ class TriMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     scalar_fields: dict = field(default_factory=dict)
-    # filled lazily and shared with derived meshes: topology facts and OBJ face
-    # text of `triangles`, and reference OBJ vertex lines (see _obj_vertex_lines)
-    _connectivity: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
-    # filled lazily and never shared: facts of these vertices and triangles
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # shared with derived meshes: facts of `triangles` and reference OBJ vertex
+    # lines (see _obj_vertex_lines)
+    _connectivity: _Cache = field(default_factory=_Cache, init=False, repr=False,
+                                  compare=False)
+    # never shared: facts of these vertices and triangles
+    _memo: _Cache = field(default_factory=_Cache, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.vertices = _as_locked(self.vertices, float, (-1, 3))
         t = self.triangles = _as_locked(self.triangles, np.int64, (-1, 3))
+        if not np.isfinite(v).all():
+            i = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise MeshFormatError(f"vertex {i} has a non-finite coordinate: {v[i].tolist()}")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshFormatError(
                 f"triangle index out of range: indices must lie in [0, {len(v)})"
@@ -91,6 +115,14 @@ class TriMesh:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
+
+    def connectivity_entry(self, key: str, build):
+        """build(), kept once in the connectivity cache derived meshes share."""
+        return self._connectivity.get(key, build)
+
+    def memo_entry(self, key: str, build, tag=None):
+        """build(), kept once under tag in this mesh's own memo."""
+        return self._memo.get(key, build, tag)
 
     def corner_coordinates(self):
         """Vertex coordinates of every triangle, as three (T, 3) arrays."""
@@ -170,24 +202,29 @@ def load_mesh(path, validate: bool = True) -> TriMesh:
 def save_mesh(mesh: TriMesh, path) -> None:
     """Write a mesh as OBJ or ASCII STL, by the .obj or .stl suffix.
 
-    Non-finite vertex coordinates are refused; round-tripping through OBJ
-    preserves coordinates exactly and connectivity verbatim.
+    Round-tripping through OBJ preserves coordinates exactly and
+    connectivity verbatim.
     """
     fmt = _infer_format(path)
-    if not np.isfinite(mesh.vertices).all():
-        raise ToolkitError("refusing to write mesh with non-finite vertex coordinates")
     if fmt == "obj":
         _write_obj(mesh, path)
     else:
         _write_stl_ascii(mesh, path)
 
 
+def _parsed_mesh(origin: str, vertices, triangles) -> TriMesh:
+    try:
+        return TriMesh(vertices, triangles)
+    except MeshFormatError as exc:
+        raise MeshFormatError(f"{origin}: {exc}") from None
+
+
 def _parse_obj(text: str, origin: str) -> TriMesh:
-    mesh = _parse_plain_obj(text)
+    mesh = _parse_plain_obj(text, origin)
     return mesh if mesh is not None else _parse_obj_lines(text, origin)
 
 
-def _parse_plain_obj(text: str) -> TriMesh | None:
+def _parse_plain_obj(text: str, origin: str) -> TriMesh | None:
     """Bulk parse of `v x y z` lines followed by `f i j k` lines, else None.
 
     Each line starts with a one-letter tag token.  If the n lines hold 4n
@@ -216,7 +253,7 @@ def _parse_plain_obj(text: str) -> TriMesh | None:
     if t.size and (t.min() < 1 or t.max() > nv):
         return None
     t -= 1
-    return TriMesh(v.reshape(-1, 3), t.reshape(-1, 3))
+    return _parsed_mesh(origin, v.reshape(-1, 3), t.reshape(-1, 3))
 
 
 def _parse_obj_lines(text: str, origin: str) -> TriMesh:
@@ -263,8 +300,8 @@ def _parse_obj_lines(text: str, origin: str) -> TriMesh:
                 raise MeshFormatError(
                     f"{origin}:{lineno}: face index {i + 1} out of range for {nv} vertices"
                 )
-    return TriMesh(np.array(vertices, dtype=float),
-                   np.array([idx for _, idx in triangles], dtype=np.int64).reshape(-1, 3))
+    return _parsed_mesh(origin, np.array(vertices, dtype=float),
+                        np.array([idx for _, idx in triangles], dtype=np.int64).reshape(-1, 3))
 
 
 def _obj_rows(template: str, rows: np.ndarray) -> str:
@@ -272,34 +309,17 @@ def _obj_rows(template: str, rows: np.ndarray) -> str:
     return (template * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _connectivity_entry(mesh: TriMesh, key: str, build):
-    """mesh._connectivity[key], set to build() by the first writer that asks.
-
-    Writers that race on a fresh connectivity wait for that one build rather
-    than each formatting the whole block.
-    """
-    entry = mesh._connectivity.get(key)
-    if entry is None:
-        with _CONNECTIVITY_LOCK:
-            entry = mesh._connectivity.get(key)
-            if entry is None:
-                entry = mesh._connectivity[key] = build()
-    return entry
-
-
 def _obj_vertex_lines(mesh: TriMesh) -> list:
     """The `v` lines of mesh, formatting only rows that differ from the reference.
 
     The reference is the first vertex array written with this connectivity,
     paired with its lines.  Rows are compared bitwise,
-    since 0.0 == -0.0 but the two print differently.  The stored pair is set
-    in one assignment and its list is never mutated, so concurrent writers
-    only ever read a consistent pair.
+    since 0.0 == -0.0 but the two print differently.  The stored list is
+    never mutated, so concurrent writers share it.
     """
     v = mesh.vertices
-    ref_v, ref_lines = _connectivity_entry(
-        mesh, "obj_vertex_lines",
-        lambda: (v, _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)))
+    ref_v, ref_lines = mesh.connectivity_entry(
+        "obj_vertex_lines", lambda: (v, _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)))
     if ref_v is v:
         return ref_lines
     if len(ref_v) != len(v):
@@ -313,8 +333,8 @@ def _obj_vertex_lines(mesh: TriMesh) -> list:
 
 
 def _write_obj(mesh: TriMesh, path) -> None:
-    faces = _connectivity_entry(mesh, "obj_faces",
-                                lambda: _obj_rows(_OBJ_FACE, mesh.triangles + 1))
+    faces = mesh.connectivity_entry("obj_faces",
+                                    lambda: _obj_rows(_OBJ_FACE, mesh.triangles + 1))
     write_text(path, ("".join(_obj_vertex_lines(mesh)), faces))
 
 
@@ -355,8 +375,8 @@ def _parse_stl_ascii(text: str, origin: str) -> TriMesh:
         # "outer loop" / "endloop" / normal values carry no extra information
     if not saw_solid and not vertices:
         raise MeshFormatError(f"{origin}: no solid/vertex records found")
-    return TriMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                   np.array(triangles, dtype=np.int64).reshape(-1, 3))
+    return _parsed_mesh(origin, np.array(vertices, dtype=float).reshape(-1, 3),
+                        np.array(triangles, dtype=np.int64).reshape(-1, 3))
 
 
 def _write_stl_ascii(mesh: TriMesh, path) -> None:

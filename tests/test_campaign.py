@@ -187,9 +187,26 @@ class TestConfig:
                              ids=["comma", "quote", "newline", "carriage-return"])
     def test_output_name_with_csv_syntax_rejected(self, name):
         # analysis CSVs write output names unquoted
-        with pytest.raises(ConfigError, match="output name with"):
+        with pytest.raises(ConfigError, match="outputs must be distinct names from"):
             CampaignConfig(ffd_path="f.json", mesh_path="m.obj", n_samples=1,
                            objective=ridge_objective(), outputs=("resistance", name))
+
+    @pytest.mark.parametrize("outputs", [
+        [], ["resistance", "resistance"], ["trim", "resistance", "trim"],
+        ["resistance", "drag"], ["Trim"]],
+        ids=["empty", "twice", "trim-twice", "drag", "case"])
+    def test_outputs_must_be_distinct_known_names(self, outputs):
+        message = ("campaign outputs must be distinct names from 'resistance' and 'trim', "
+                   f"got {outputs!r}")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            CampaignConfig(ffd_path="f.json", mesh_path="m.obj", n_samples=1,
+                           objective=ridge_objective(), outputs=outputs)
+
+    @pytest.mark.parametrize("outputs", [["resistance"], ["trim"], ["trim", "resistance"]])
+    def test_known_outputs_accepted_in_any_order(self, outputs):
+        config = CampaignConfig(ffd_path="f.json", mesh_path="m.obj", n_samples=1,
+                                objective=ridge_objective(), outputs=outputs)
+        assert config.outputs == tuple(outputs)
 
     def test_sample_count_rejected(self, workspace):
         _, ffd_path, mesh_path = workspace
@@ -592,6 +609,19 @@ class TestRunCampaign:
         with pytest.raises(error) as direct:  # the error load_mesh gives on its own
             camp.load_mesh(mesh_path)
         assert str(raised.value) == str(direct.value)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_mesh_on_fresh_run_leaves_no_run_directory(self, workspace, token):
+        tmp_path, _, mesh_path = workspace
+        lines = open(mesh_path).read().splitlines(keepends=True)
+        lines[4] = f"v 0.5 {token} 0.25\n"
+        bad = tmp_path / "bad.obj"
+        bad.write_text("".join(lines))
+        config = self.config(workspace, mesh_path=str(bad))
+        with pytest.raises(MeshFormatError,
+                           match=re.escape(f"{bad}: vertex 4 has a non-finite coordinate")):
+            run_campaign(config, threads=2)
         assert not (tmp_path / "run").exists()
 
     def test_fingerprint_is_of_file_bytes_not_paths(self, workspace):

@@ -241,6 +241,16 @@ class TestDmdCommands:
         got = np.array([float(v) for v in proc.stdout.strip().split(",")])
         np.testing.assert_allclose(got, snaps.data[:, 4], atol=1e-8)
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_predict_refuses_a_non_finite_time(self, tmp_path, snapshots_csv, t):
+        path, _ = snapshots_csv
+        model_path = tmp_path / "model.json"
+        run_cli("dmd", "fit", "--in", str(path), "--out", str(model_path))
+        proc = run_cli("dmd", "predict", "--model", str(model_path), f"--t={t}")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: domain: time must be finite, got {t}\n"
+        assert proc.stdout == ""
+
 
 class TestFfdCommands:
     def test_deform_identity_matches_library(self, tmp_path, ffd_doc):
@@ -281,6 +291,25 @@ class TestFfdCommands:
         assert proc.returncode == 1
         assert proc.stderr.startswith(
             f"error: mesh_format: {part}: not a text OBJ / ASCII STL file"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix, token", [(".obj", "inf"), (".obj", "nan"),
+                                               (".stl", "-inf")])
+    def test_deform_non_finite_vertex_is_mesh_format_error(self, tmp_path, ffd_doc,
+                                                           suffix, token):
+        part = tmp_path / f"part{suffix}"
+        save_mesh(icosphere(1), part)
+        lines = part.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.split()[0] in ("v", "vertex"))
+        lines[first] = f"{lines[first].split()[0]} {token} 0 0\n"
+        part.write_text("".join(lines))
+        out = tmp_path / "o.obj"
+        proc = run_cli("ffd", "deform", "--lattice", str(ffd_doc), "--in", str(part),
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: mesh_format: {part}: vertex 0 has a non-finite coordinate: "), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -551,6 +580,25 @@ class TestCampaignCommands:
         assert proc.stderr == (f"error: config: {cfg}: ridge direction must hold "
                                f"finite numbers, got {shown}\n")
         assert not (run_dir / "samples").exists()
+
+    def test_run_on_a_nan_vertex_mesh_fails_before_the_run_directory(self, tmp_path,
+                                                                     ffd_doc):
+        save_mesh(icosphere(1), tmp_path / "mesh.obj")
+        lines = (tmp_path / "mesh.obj").read_text().splitlines(keepends=True)
+        lines[1] = "v 0 nan 0\n"
+        (tmp_path / "mesh.obj").write_text("".join(lines))
+        config = {"ffd": "ffd.json", "mesh": "mesh.obj", "samples": 6,
+                  "objective": {"kind": "ridge", "direction": [1.0, 0.5]},
+                  "outputs": ["resistance"], "time_resolved": False}
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        proc = run_cli("campaign", "run", "--config", str(cfg), "--out", str(run_dir),
+                       "--analyze")
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: mesh_format: {tmp_path / 'mesh.obj'}: vertex 1 has "
+                               "a non-finite coordinate: [0.0, nan, 0.0]\n")
+        assert not run_dir.exists()
 
     def test_bad_config_is_config_error(self, tmp_path):
         cfg = tmp_path / "broken.json"

@@ -188,6 +188,12 @@ class TestReconstruct:
                                    reconstruct_series(model, 7)[:, 7], atol=1e-10)
 
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_predict_at_time_refuses_non_finite_time(self, t):
+        model = fit(rotation_series()[0])
+        with pytest.raises(DomainError, match=re.escape(f"time must be finite, got {t}")):
+            predict_at_time(model, t)
+
 class TestTrainingError:
     def test_exact_system_full_rank(self):
         rng = np.random.default_rng(1)

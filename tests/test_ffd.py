@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from importlib.resources import files
 from math import comb
 
@@ -12,7 +13,8 @@ from morphreduce.ffd import (BindingEntry, FFDLattice, ParameterBinding,
                              apply_parameters, basis_partition, deform_mesh,
                              deform_point, deform_points, load_ffd_json,
                              sample_parameters, save_ffd_json, to_reference)
-from morphreduce.geometry import demo_hull, icosphere, unit_cube
+from morphreduce.geometry import (TriMesh, demo_hull, enclosed_volume, icosphere,
+                                  integrals, unit_cube)
 
 
 def to_physical(lattice, stu):
@@ -439,6 +441,61 @@ class TestCachedBasis:
         base = demo_hull(36, 18)
         for morphed in (first, second, first, second):
             self.assert_deforms_alike(morphed, base)
+
+    def test_boxes_in_turn_keep_one_basis(self, demo, builds):
+        lattice, binding = demo
+        mu = sample_parameters(binding, 1, seed=3)[0]
+        box_a = apply_parameters(lattice, binding, mu)
+        box_b = apply_parameters(FFDLattice(lattice.origin + 0.02, lattice.axes,
+                                            lattice.counts), binding, mu)
+        base = demo_hull(36, 18)
+        for morphed in (box_a, box_b, box_a):
+            deform_mesh(morphed, base)
+        assert builds == [base.num_vertices] * 3
+        assert list(base._memo._entries) == ["ffd_basis"]  # one basis, of the last box
+        deform_mesh(apply_parameters(lattice, binding, -mu), base)  # box A again
+        assert len(builds) == 3
+        deform_mesh(box_b, base)  # B was replaced, so it is built again
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize("n_threads", [2, 3, 4])
+    def test_racing_threads_build_basis_and_closedness_once(self, demo, monkeypatch,
+                                                            n_threads):
+        """Threads that deform and check closedness on one fresh base mesh wait for
+        the first build of the basis and of the boundary edge count."""
+        lattice, binding = demo
+        morphs = [apply_parameters(lattice, binding, mu)
+                  for mu in sample_parameters(binding, n_threads, seed=12)]
+        base = demo_hull(36, 18)
+        serial = [deform_points(m, base.vertices) for m in morphs]
+        calls = {"basis": 0, "closed": 0}
+        basis, count = ffd._reference_basis, integrals.boundary_edge_count
+
+        def slow(name, build):
+            def counted(*args):
+                calls[name] += 1
+                time.sleep(0.05)  # holds the build open while the other threads arrive
+                return build(*args)
+            return counted
+        monkeypatch.setattr(ffd, "_reference_basis", slow("basis", basis))
+        monkeypatch.setattr(integrals, "boundary_edge_count", slow("closed", count))
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def work(k):
+            barrier.wait()
+            mesh = deform_mesh(morphs[k], base)
+            results[k] = (mesh.vertices, enclosed_volume(mesh))
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == {"basis": 1, "closed": 1}
+        for (vertices, volume), ref in zip(results, serial):
+            assert np.array_equal(vertices.view(np.uint64), ref.view(np.uint64))
+            assert volume == enclosed_volume(TriMesh(ref, base.triangles))
 
     def test_small_blocks_on_a_fresh_mesh(self, demo, monkeypatch):
         lattice, binding = demo

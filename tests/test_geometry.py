@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -274,9 +275,38 @@ class TestMeshIO:
                 call(tmp_path / "cube.ply")
 
     def test_refuses_nan_vertex(self, tmp_path):
-        mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
         with pytest.raises(ToolkitError, match="non-finite"):
+            mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
             save_mesh(mesh, tmp_path / "nan.obj")
+
+    @pytest.mark.parametrize("row", [[0.0, np.inf, 0.0], [-np.inf, 0.0, 1.0],
+                                     [0.0, 0.0, np.nan]], ids=["inf", "-inf", "nan"])
+    def test_mesh_refuses_non_finite_vertex(self, row):
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], row, row])
+        message = re.escape(f"vertex 3 has a non-finite coordinate: {row}")
+        with pytest.raises(MeshFormatError, match=message):
+            TriMesh(vertices, [[0, 1, 2]])
+        base = TriMesh(vertices[:3], [[0, 1, 2]])
+        with pytest.raises(MeshFormatError, match="vertex 2 has a non-finite"):
+            base.with_vertices(vertices[[0, 1, 3]])
+
+    @pytest.mark.parametrize("name, text, shown", [
+        ("plain.obj", "v 0 0 0\nv 1 nan 0\nv 0 1 0\nf 1 2 3\n", "[1.0, nan, 0.0]"),
+        ("comment.obj", "# hull\nv 0 0 0\nv 1 0 0\nv 0 1 inf\nf 1 2 3\n",
+         "[0.0, 1.0, inf]"),
+        ("facet.stl", "solid s\nfacet normal 0 0 1\nouter loop\nvertex 0 0 0\n"
+         "vertex 1 0 0\nvertex -inf 1 0\nendloop\nendfacet\nendsolid s\n",
+         "[-inf, 1.0, 0.0]")], ids=["obj-bulk", "obj-lines", "stl"])
+    def test_load_refuses_non_finite_vertex_naming_the_file(self, tmp_path, name, text,
+                                                            shown):
+        path = tmp_path / name
+        path.write_text(text)
+        vertex = 2 if name != "plain.obj" else 1
+        for validate in (True, False):
+            with pytest.raises(MeshFormatError) as raised:
+                load_mesh(path, validate=validate)
+            assert str(raised.value) == (
+                f"{path}: vertex {vertex} has a non-finite coordinate: {shown}")
 
     def test_zero_triangle_mesh_saves(self, tmp_path):
         mesh = TriMesh(np.zeros((3, 3)) + np.eye(3), np.empty((0, 3), dtype=int))
