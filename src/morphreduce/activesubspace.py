@@ -177,8 +177,14 @@ def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> Sa
     solves: one QR of the design matrices A = [1, x_j - x_i] with f_j
     appended, then one solve of R c = Q^T f.  A neighborhood is
     rank-deficient by lstsq's rule, smallest singular value at most
-    eps * max(k, m + 1) times the largest, and the gradients agree with a
-    per-row lstsq to rounding, not bit for bit.
+    tol = eps * max(k, m + 1) times the largest, and the gradients agree
+    with a per-row lstsq to rounding, not bit for bit.
+
+    The rule is checked on the R of A, whose singular values are A's.
+    Since ||R||_F ||R^-1||_F bounds the condition number from above, a row
+    whose bound, from one stacked inverse, is below 1e-3 / tol cannot meet
+    the rule; only the other rows (and a block whose inverse fails) have
+    their singular values computed.
     """
     x = table.normalized_inputs()
     n, m = x.shape
@@ -197,8 +203,7 @@ def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> Sa
         np.subtract(x[nbr], x[start:stop, None, :], out=a[:, :, 1:-1])
         a[:, :, -1] = f[nbr]
         r = np.linalg.qr(a, mode="r")[:, :m + 1]
-        s = np.linalg.svd(r[:, :, :-1], compute_uv=False)  # the singular values of A
-        deficient = s[:, -1] <= tol * s[:, 0]
+        deficient = _rank_deficient(r[:, :, :-1], tol)
         if deficient.any():
             raise DomainError(
                 f"rank-deficient neighborhood around sample {start + deficient.argmax()}; "
@@ -207,6 +212,28 @@ def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> Sa
         grads[start:stop] = np.linalg.solve(r[:, :, :-1], r[:, :, -1:])[:, 1:, 0]
     grads /= table._center_half()[1]  # back to raw coordinates
     return table.with_gradients(grads)
+
+
+def _rank_deficient(r: np.ndarray, tol: float) -> np.ndarray:
+    """Flags of the stacked square R factors whose singular values s meet
+    s_min <= tol * s_max.
+
+    Rows certified by ||R||_F ||R^-1||_F < 1e-3 / tol skip the SVD: the
+    bound is at least s_max / s_min, and its 1e-3 margin covers the
+    rounding of the inverse and of the singular values.
+    """
+    try:
+        inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:  # an exactly singular R: check every row
+        uncertified = np.ones(len(r), dtype=bool)
+    else:
+        bound_sq = np.einsum("rij,rij->r", r, r) * np.einsum("rij,rij->r", inv, inv)
+        uncertified = ~(bound_sq < (1e-3 / tol) ** 2)  # a NaN bound stays uncertified
+    deficient = np.zeros(len(r), dtype=bool)
+    if uncertified.any():
+        s = np.linalg.svd(r[uncertified], compute_uv=False)
+        deficient[uncertified] = s[:, -1] <= tol * s[:, 0]
+    return deficient
 
 
 def _neighbor_blocks(x: np.ndarray, k: int):
@@ -292,19 +319,24 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of d2, in order.
 
     Equals np.argsort(d2, axis=1, kind="stable")[:, :k] (value, then lower
-    index) without sorting whole rows: argpartition picks k candidates,
-    which are ordered by index and then stably by value.  A row whose k-th
-    value ties with an entry left out is sorted in full, so the result is
-    always that stable-argsort prefix.
+    index) without sorting whole rows.  One argpartition at place k puts
+    the k smallest values and then the (k+1)-th first, and one argsort
+    orders these k + 1 candidates.  A row's cut is ambiguous only when the
+    (k+1)-th value equals the largest selected one, and the order is the
+    stable one only when no two selected values tie; a row with any two
+    equal adjacent candidates is sorted in full.
     """
-    sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    sel.sort(axis=1)
-    ds = np.take_along_axis(d2, sel, axis=1)
-    nbr = np.take_along_axis(sel, np.argsort(ds, axis=1, kind="stable"), axis=1)
-    dk = ds.max(axis=1, keepdims=True)
-    cut = np.count_nonzero(d2 == dk, axis=1) > np.count_nonzero(ds == dk, axis=1)
-    for r in cut.nonzero()[0]:
-        nbr[r] = np.argsort(d2[r], kind="stable")[:k]
+    rows, n = d2.shape
+    if k == n:
+        return np.argsort(d2, axis=1, kind="stable")
+    part = np.argpartition(d2, k, axis=1)[:, :k + 1]
+    ds = np.take(d2, part + np.arange(0, rows * n, n)[:, None])
+    order = np.argsort(ds, axis=1) + np.arange(0, rows * (k + 1), k + 1)[:, None]
+    ds = np.take(ds, order)
+    nbr = np.take(part, order[:, :k])
+    redo = (ds[:, 1:] == ds[:, :-1]).any(axis=1)
+    if redo.any():
+        nbr[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
     return nbr
 
 

@@ -57,15 +57,7 @@ class FFDLattice:
         self.counts = tuple(int(c) for c in self.counts)
         if any(c < 2 for c in self.counts):
             raise ConfigError(f"lattice needs >= 2 control points per direction, got {self.counts}")
-        if self.displacements is None:
-            self.displacements = np.zeros(self.counts + (3,))
-        self.displacements = np.array(self.displacements, dtype=float)
-        if self.displacements.shape != self.counts + (3,):
-            raise ConfigError(
-                f"displacement array shape {self.displacements.shape} does not match "
-                f"counts {self.counts}"
-            )
-        for name in ("origin", "axes", "displacements"):
+        for name in ("origin", "axes"):
             a = getattr(self, name)
             if not np.isfinite(a).all():
                 raise ConfigError(f"lattice {name} must be finite")
@@ -73,6 +65,20 @@ class FFDLattice:
         edge_scale = np.prod(np.linalg.norm(self.axes, axis=1))
         if edge_scale == 0.0 or abs(np.linalg.det(self.axes.T)) < 1e-12 * edge_scale:
             raise ConfigError("lattice axes are singular or numerically dependent")
+        disp = self.displacements
+        self._lock_displacements(np.zeros(self.counts + (3,)) if disp is None
+                                 else np.array(disp, dtype=float))
+
+    def _lock_displacements(self, disp: np.ndarray) -> None:
+        """Check and lock disp, an array no caller holds, as the displacements."""
+        if disp.shape != self.counts + (3,):
+            raise ConfigError(
+                f"displacement array shape {disp.shape} does not match counts {self.counts}"
+            )
+        if not np.isfinite(disp).all():
+            raise ConfigError("lattice displacements must be finite")
+        disp.flags.writeable = False
+        self.displacements = disp
 
     @property
     def box_matrix(self) -> np.ndarray:
@@ -80,7 +86,15 @@ class FFDLattice:
         return self.axes.T
 
     def with_displacements(self, displacements) -> "FFDLattice":
-        return FFDLattice(self.origin, self.axes, self.counts, displacements)
+        """Same box and counts, new displacements: only these are copied and checked."""
+        return self._same_box(np.array(displacements, dtype=float))
+
+    def _same_box(self, disp: np.ndarray) -> "FFDLattice":
+        """A lattice sharing this one's checked, locked box, with displacements disp."""
+        lattice = object.__new__(FFDLattice)
+        lattice.origin, lattice.axes, lattice.counts = self.origin, self.axes, self.counts
+        lattice._lock_displacements(disp)
+        return lattice
 
 
 @dataclass
@@ -161,7 +175,7 @@ def apply_parameters(lattice: FFDLattice, binding: ParameterBinding,
     disp = np.array(lattice.displacements)
     for e in binding.entries:
         disp[e.index + (e.axis,)] += e.weight * mu[e.parameter]
-    return lattice.with_displacements(disp)
+    return lattice._same_box(disp)
 
 
 def _bernstein_matrix(degree: int, t: np.ndarray) -> np.ndarray:

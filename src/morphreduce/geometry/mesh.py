@@ -2,8 +2,10 @@
 
 Vertices are stored as an (V, 3) float64 array and triangles as a (T, 3)
 integer index array.  Meshes are immutable after construction: every array
-is copied and the copy locked read-only, so no caller can write to it, and
-field attachment returns a new mesh.  A vertex with a NaN or infinite
+a caller passes is copied and the copy locked read-only, so no caller can
+write to it, and field attachment returns a new mesh.  A mesh derived with
+with_vertices or with_scalar_field shares its base's locked triangles, which
+the base has already checked.  A vertex with a NaN or infinite
 coordinate is refused when the mesh is built.
 
 A mesh keeps derived facts in two caches of one kind (_Cache).  The
@@ -92,12 +94,19 @@ class TriMesh:
     _memo: _Cache = field(default_factory=_Cache, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.triangles = _as_locked(self.triangles, np.int64, (-1, 3))
+        self._lock_vertices_and_fields(None)
+
+    def _lock_vertices_and_fields(self, index_bound: int | None) -> None:
+        """Copy, lock and check the vertices and fields, and check the
+        triangle indices unless they are known to lie below index_bound <= V."""
         v = self.vertices = _as_locked(self.vertices, float, (-1, 3))
-        t = self.triangles = _as_locked(self.triangles, np.int64, (-1, 3))
+        t = self.triangles
         if not np.isfinite(v).all():
             i = int(np.argmin(np.isfinite(v).all(axis=1)))
             raise MeshFormatError(f"vertex {i} has a non-finite coordinate: {v[i].tolist()}")
-        if t.size and (t.min() < 0 or t.max() >= len(v)):
+        if ((index_bound is None or index_bound > len(v)) and t.size
+                and (t.min() < 0 or t.max() >= len(v))):
             raise MeshFormatError(
                 f"triangle index out of range: indices must lie in [0, {len(v)})"
             )
@@ -138,8 +147,16 @@ class TriMesh:
         return self._same_connectivity(vertices, dict(self.scalar_fields))
 
     def _same_connectivity(self, vertices, scalar_fields) -> "TriMesh":
-        mesh = TriMesh(vertices, self.triangles, scalar_fields)
-        mesh._connectivity = self._connectivity
+        """A mesh sharing this one's locked triangles and connectivity cache.
+
+        The triangles are neither copied nor checked again: their indices
+        lie below this mesh's vertex count, so only fewer vertices need the
+        range check.
+        """
+        mesh = object.__new__(TriMesh)
+        mesh.vertices, mesh.triangles, mesh.scalar_fields = vertices, self.triangles, scalar_fields
+        mesh._connectivity, mesh._memo = self._connectivity, _Cache()
+        mesh._lock_vertices_and_fields(len(self.vertices))
         return mesh
 
     def degenerate_triangles(self) -> np.ndarray:

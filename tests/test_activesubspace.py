@@ -172,6 +172,76 @@ class TestGradientEstimation:
         expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
         assert np.array_equal(_nearest(d2, k), expected)
 
+    def test_nearest_is_stable_argsort_prefix_for_every_k(self):
+        # per k: rows tied only at places k and k + 1, rows tied only inside
+        # the first k places, random integer rows and rows with inf entries
+        rng = np.random.default_rng(10)
+        n = 24
+        for k in range(1, n + 1):
+            distinct = np.sort(rng.permutation(n) + rng.uniform(0.0, 0.5, (12, n)), axis=1)
+            at_cut, inside = distinct[:6], distinct[6:]
+            if k < n:
+                at_cut[:, k] = at_cut[:, k - 1]
+            if k > 1:
+                tie = rng.integers(0, k - 1, len(inside))
+                inside[np.arange(len(inside)), tie + 1] = inside[np.arange(len(inside)), tie]
+            ties = np.vstack([at_cut, inside])
+            ties = np.take_along_axis(ties, rng.permuted(np.tile(np.arange(n), (12, 1)),
+                                                          axis=1), axis=1)
+            integer = rng.integers(0, 5, (12, n)).astype(float)
+            infinite = rng.integers(0, 5, (4, n)).astype(float)
+            infinite[0] = np.inf
+            infinite[1:, ::3] = np.inf
+            for d2 in (ties, integer, infinite):
+                expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+                assert np.array_equal(_nearest(d2, k), expected), k
+
+    def test_well_conditioned_table_needs_no_svd(self, monkeypatch):
+        table = ridge_table(n=2000, m=8, seed=11, exact=False)[0]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        estimate_gradients(table)
+        assert calls == []
+
+    def test_gradients_equal_qr_solve_reference_bitwise(self, monkeypatch):
+        monkeypatch.setattr(asub, "_BLOCK_ELEMENTS", 300 * 40)  # several row blocks
+        table, _ = ridge_table(n=300, m=5, seed=12, bounds_half=0.5, exact=False)
+        k = 30
+        nbrs, _, deficient = full_sort_reference(table, k)
+        assert deficient is None
+        xn, f = table.normalized_inputs(), table.outputs
+        ref = np.empty_like(xn)
+        for i, nbr in enumerate(nbrs):
+            a = np.column_stack([np.ones(k), xn[nbr] - xn[i], f[nbr]])
+            r = np.linalg.qr(a, mode="r")[:table.m + 1]
+            ref[i] = np.linalg.solve(r[:, :-1], r[:, -1:])[1:, 0]
+        ref /= table._center_half()[1]
+        got = estimate_gradients(table, n_neighbors=k).gradients
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_identical_rows_raise_at_reference_sample(self, monkeypatch):
+        # the first 30 rows coincide, so the first R factors are exactly
+        # singular and the stacked inverse fails for their block
+        rng = np.random.default_rng(13)
+        x = np.vstack([np.tile([0.25, -0.5], (30, 1)), rng.uniform(-1.0, 1.0, (30, 2))])
+        table = SampleTable(x, x[:, 0] ** 2 + x[:, 1])
+        failed = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            try:
+                return inv(a)
+            except np.linalg.LinAlgError:
+                failed.append(len(a))
+                raise
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        _, _, deficient = full_sort_reference(table, 6)
+        assert deficient is not None
+        with pytest.raises(DomainError, match=f"around sample {deficient};"):
+            estimate_gradients(table)
+        assert failed
+
 
 def full_sort_reference(table, k):
     """Neighbours by a stable argsort of the full N x N distance matrix and

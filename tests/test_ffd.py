@@ -152,6 +152,40 @@ class TestApplyParameters:
         out = apply_parameters(unit_lattice(), binding, [0.25])
         assert out.displacements[1, 1, 1, 1] == 0.25
 
+    def test_demo_lattice_result_equals_full_constructor(self):
+        lattice, binding = load_ffd_json(files("morphreduce") / "data" / "demo_ffd.json")
+        mu = sample_parameters(binding, 4, seed=3)
+        for row in mu:
+            out = apply_parameters(lattice, binding, row)
+            disp = np.array(lattice.displacements)
+            for e in binding.entries:
+                disp[e.index + (e.axis,)] += e.weight * row[e.parameter]
+            ref = FFDLattice(lattice.origin, lattice.axes, lattice.counts, disp)
+            assert out.origin is lattice.origin and out.axes is lattice.axes
+            assert out.counts == ref.counts
+            assert np.array_equal(out.displacements.view(np.int64),
+                                  ref.displacements.view(np.int64))
+            assert not out.displacements.flags.writeable
+
+    def test_overflowing_displacement_is_a_config_error(self):
+        binding = ParameterBinding([BindingEntry(0, (1, 1, 1), 1, 1e308)],
+                                   bounds=[[-20.0, 20.0]])
+        with pytest.raises(ConfigError, match="^lattice displacements must be finite$"), \
+                np.errstate(over="ignore"):
+            apply_parameters(unit_lattice(), binding, [10.0])
+
+    def test_with_displacements_copies_and_checks(self):
+        lattice = skewed_lattice()
+        disp = np.zeros((3, 4, 2, 3))
+        moved = lattice.with_displacements(disp)
+        disp[0, 0, 0, 0] = 1.0
+        assert moved.displacements[0, 0, 0, 0] == 0.0 and moved.axes is lattice.axes
+        with pytest.raises(ConfigError, match="does not match counts"):
+            lattice.with_displacements(np.zeros((2, 2, 2, 3)))
+        disp[0, 0, 0, 0] = np.nan
+        with pytest.raises(ConfigError, match="^lattice displacements must be finite$"):
+            lattice.with_displacements(disp)
+
     def test_entry_outside_counts_rejected(self):
         binding = ParameterBinding([BindingEntry(0, (5, 0, 0), 0, 1.0)],
                                    bounds=[[-1, 1]])

@@ -402,6 +402,31 @@ class TestObjBulkParse:
         assert calls == [str(commented)]
 
 
+class TestDerivedMeshTriangles:
+    def test_derived_mesh_shares_the_locked_triangles(self):
+        base = demo_hull(40, 20)
+        moved = base.with_vertices(base.vertices * 1.5)
+        fielded = moved.with_scalar_field("p", np.ones(base.num_vertices))
+        for mesh in (moved, fielded):
+            assert mesh.triangles is base.triangles
+            assert not mesh.triangles.flags.writeable
+
+    def test_public_constructor_copies_and_checks_the_triangles(self):
+        base = unit_cube()
+        again = TriMesh(base.vertices, base.triangles)
+        assert again.triangles is not base.triangles
+        assert np.array_equal(again.triangles, base.triangles)
+        with pytest.raises(MeshFormatError, match=r"indices must lie in \[0, 7\)"):
+            TriMesh(base.vertices[:7], base.triangles)
+
+    def test_fewer_vertices_still_range_checked(self):
+        base = unit_cube()
+        with pytest.raises(MeshFormatError, match=r"indices must lie in \[0, 7\)"):
+            base.with_vertices(base.vertices[:7])
+        grown = base.with_vertices(np.vstack([base.vertices, [[2.0, 2.0, 2.0]]]))
+        assert grown.triangles is base.triangles
+
+
 class TestScalarFields:
     def test_missing_field_errors(self):
         with pytest.raises(ToolkitError, match="no scalar field"):
