@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -162,8 +161,8 @@ class ASDecomposition:
         return self.eigenvectors[:, :self.active_dim]
 
 
-# float64 values of all distance buffers of one row block (rows x N x buffers): 1 MB
-_BLOCK_ELEMENTS = 2 ** 17
+# float64 values of the two distance buffers of one row block (rows x N x 2): 512 KB
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> SampleTable:
@@ -172,8 +171,9 @@ def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> Sa
     Each point's gradient is the slope of a least-squares hyperplane through
     its k nearest neighbors (k defaults to max(m + 2, ceil(N / 10))), so no
     extra evaluations are needed.  Neighbors are ranked by squared distance
-    in the normalized inputs, equal distances by the lower row index (see
-    _neighbor_blocks).  The fits of each block of rows are stacked QR
+    in the normalized inputs, equal distances by the lower row index, so a
+    row's indices are np.argsort(d2, kind="stable")[:k] of its row of the
+    distance matrix.  The fits of each block of rows are stacked QR
     solves: one QR of the design matrices A = [1, x_j - x_i] with f_j
     appended, then one solve of R c = Q^T f.  A neighborhood is
     rank-deficient by lstsq's rule, smallest singular value at most
@@ -195,7 +195,8 @@ def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> Sa
     f = table.outputs
     grads = np.empty((n, m))
     tol = np.finfo(float).eps * max(k, m + 1)
-    for start, nbr in _neighbor_blocks(x, k):
+    for start, d2 in _distance_blocks(x):
+        nbr = _nearest(d2, k)
         stop = start + len(nbr)
         # the R factor of [A | f] holds the R of A and, in its last column, Q^T f
         a = np.empty((len(nbr), k, m + 2))
@@ -236,83 +237,30 @@ def _rank_deficient(r: np.ndarray, tol: float) -> np.ndarray:
     return deficient
 
 
-def _neighbor_blocks(x: np.ndarray, k: int):
-    """Yield (first row, neighbor indices) for consecutive blocks of rows of x.
-
-    Neighbors are ranked by squared distance, equal distances by the lower
-    row index, so each row's indices are np.argsort(d2, kind="stable")[:k]
-    of its row of the full distance matrix.
-    """
-    for start, d2 in _distance_blocks(x):
-        yield start, _nearest(d2, k)
-
-
 def _distance_blocks(x: np.ndarray):
     """Yield (first row, squared distances to every row) for blocks of rows of x.
 
-    A block's distances are summed one parameter column at a time in the
-    order np.add.reduce sums a last axis of length m (see _sum_order), so
-    they equal the full matrix ((x[:, None] - x[None]) ** 2).sum(axis=2) bit
-    for bit.  The column squares and partial sums live in a few (rows, N)
-    buffers allocated once, with rows * N * buffers <= _BLOCK_ELEMENTS, so
-    memory stays O(N m); each yielded block is overwritten by the next.
+    A block's distances are summed one parameter column at a time, left to
+    right (j = 0 ... m - 1).  The differences are squared directly, not
+    expanded as |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so a duplicate row is at
+    distance exactly 0, as the stable tie order needs.  The sum and the
+    column square live in two (rows, N) buffers allocated once, with
+    rows * N * 2 <= _BLOCK_ELEMENTS, so memory stays O(N m); each yielded
+    block is overwritten by the next.
     """
     n, m = x.shape
     xt = np.ascontiguousarray(x.T)
-    order = _sum_order(list(range(m)))
-    n_buf = _buffers_needed(order)
-    rows = max(1, _BLOCK_ELEMENTS // (n * n_buf))
-    buffers = np.empty((n_buf, min(rows, n), n))
+    rows = max(1, _BLOCK_ELEMENTS // (2 * n))
+    buffers = np.empty((2, min(rows, n), n))
     for start in range(0, n, rows):
-        bufs = buffers[:, :min(rows, n - start)]
-        _sum_squares(order, bufs, 0, xt, xt[:, start:start + rows, None])
-        yield start, bufs[0]
-
-
-def _chain(terms):
-    """((t0, t1), t2) ...: the terms summed left to right."""
-    return reduce(lambda a, b: (a, b), terms)
-
-
-def _sum_order(cols):
-    """numpy's pairwise summation order of cols as a tree of (left, right) sums.
-
-    np.add.reduce over a contiguous last axis of length n adds n < 8 terms
-    in sequence; 8 <= n <= 128 terms in eight strided lanes, combined as
-    ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)) before the n % 8
-    leftovers are added; and more terms as the sums of two halves split at
-    n // 2 rounded down to a multiple of 8.
-    """
-    n = len(cols)
-    if n < 8:
-        return _chain(cols)
-    if n <= 128:
-        body = n - n % 8
-        ln = [_chain(cols[j:body:8]) for j in range(8)]
-        lanes = (((ln[0], ln[1]), (ln[2], ln[3])), ((ln[4], ln[5]), (ln[6], ln[7])))
-        return _chain([lanes] + cols[body:])
-    half = n // 2 - (n // 2) % 8
-    return _sum_order(cols[:half]), _sum_order(cols[half:])
-
-
-def _buffers_needed(order) -> int:
-    """Buffers _sum_squares needs: a sum holds its left part while forming the right."""
-    if isinstance(order, int):
-        return 1
-    return max(_buffers_needed(order[0]), 1 + _buffers_needed(order[1]))
-
-
-def _sum_squares(order, bufs, level, xt, xr):
-    """Write the sum over the columns j in order of (xt[j] - xr[j]) ** 2 into
-    bufs[level], using the buffers above it as scratch."""
-    out = bufs[level]
-    if isinstance(order, int):
-        np.subtract(xt[order], xr[order], out=out)
-        np.square(out, out=out)
-        return
-    _sum_squares(order[0], bufs, level, xt, xr)
-    _sum_squares(order[1], bufs, level + 1, xt, xr)
-    out += bufs[level + 1]
+        d2, sq = buffers[:, :min(rows, n - start)]
+        for j in range(m):
+            col = sq if j else d2
+            np.subtract(xt[j], xt[j, start:start + len(d2), None], out=col)
+            np.square(col, out=col)
+            if j:
+                d2 += sq
+        yield start, d2
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:

@@ -173,8 +173,9 @@ def apply_parameters(lattice: FFDLattice, binding: ParameterBinding,
             "evaluating anyway", stacklevel=2)
     _check_binding_indices(lattice.counts, binding)
     disp = np.array(lattice.displacements)
-    for e in binding.entries:
-        disp[e.index + (e.axis,)] += e.weight * mu[e.parameter]
+    with np.errstate(over="ignore", invalid="ignore"):  # _same_box refuses a non-finite sum
+        for e in binding.entries:
+            disp[e.index + (e.axis,)] += e.weight * mu[e.parameter]
     return lattice._same_box(disp)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 
 import morphreduce.activesubspace as asub
 from morphreduce.activesubspace import (_covariance, _distance_blocks, _nearest,
-                                        _neighbor_blocks, _sorted_eig, AnalysisSettings,
+                                        _sorted_eig, AnalysisSettings,
                                         ASDecomposition, SampleTable, analyze_table,
                                         choose_active_dimension, decompose, estimate_gradients,
                                         evaluate_surface, fit_response_surface,
@@ -95,9 +96,9 @@ class TestGradientEstimation:
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 300])
     @pytest.mark.parametrize("layout", ["uniform", "quarter-grid"])
     def test_block_distances_equal_full_matrix_bitwise(self, monkeypatch, m, layout):
-        # m covers each branch of numpy's pairwise sum: a plain sequence below
-        # 8 terms, eight lanes with and without leftovers up to 128, halves above
-        monkeypatch.setattr(asub, "_BLOCK_ELEMENTS", 60 * 20)  # 20 // buffers rows
+        # the columns are summed left to right, j = 0 ... m - 1, at every m; the
+        # m include those where numpy's own pairwise sum would use another order
+        monkeypatch.setattr(asub, "_BLOCK_ELEMENTS", 60 * 20)  # 10 rows per block
         rng = np.random.default_rng([9, m, len(layout)])
         if layout == "quarter-grid":
             x = rng.integers(-4, 5, (60, m)) / 4.0
@@ -106,7 +107,7 @@ class TestGradientEstimation:
         blocks = [(start, d2.copy()) for start, d2 in _distance_blocks(x)]
         assert len(blocks) >= 3 and [start for start, _ in blocks] == list(
             np.cumsum([0] + [len(d2) for _, d2 in blocks[:-1]]))
-        full = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        full = functools.reduce(np.add, ((x[:, None, j] - x[None, :, j]) ** 2 for j in range(m)))
         assert np.array_equal(np.vstack([d2 for _, d2 in blocks]), full)
 
     def test_memory_is_not_quadratic_in_samples(self):
@@ -261,7 +262,8 @@ def full_sort_reference(table, k):
 
 def block_neighbors(table, k):
     """The neighbour indices estimate_gradients fits, and the number of row blocks."""
-    blocks = list(_neighbor_blocks(table.normalized_inputs(), k))
+    x = table.normalized_inputs()
+    blocks = [(start, _nearest(d2, k)) for start, d2 in _distance_blocks(x)]
     assert [start for start, _ in blocks] == list(
         np.cumsum([0] + [len(nbr) for _, nbr in blocks[:-1]]))
     return np.concatenate([nbr for _, nbr in blocks]), len(blocks)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import warnings
 from importlib.resources import files
 from math import comb
 
@@ -171,7 +172,8 @@ class TestApplyParameters:
         binding = ParameterBinding([BindingEntry(0, (1, 1, 1), 1, 1e308)],
                                    bounds=[[-20.0, 20.0]])
         with pytest.raises(ConfigError, match="^lattice displacements must be finite$"), \
-                np.errstate(over="ignore"):
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error alone, no overflow warning first
             apply_parameters(unit_lattice(), binding, [10.0])
 
     def test_with_displacements_copies_and_checks(self):
