@@ -45,6 +45,39 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+_FLOAT_OPTIONS = set()  # every flag _float_option has added, whichever subcommand
+
+
+def _float_option(parser, flag, **kwargs):
+    """Add a float-valued option whose value main() passes on even as "-inf"."""
+    parser.add_argument(flag, type=float, **kwargs)
+    _FLOAT_OPTIONS.add(flag)
+
+
+def _join_float_values(argv) -> list:
+    """argv with each value after a float option that starts with "-" joined to it.
+
+    argparse reads only forms like "-1" and "-0.5" as negative numbers and
+    takes "-inf", "-nan" or "-1e-3" for an unknown flag, so the option
+    would go without its value; "--t=-inf" is read as written.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and token.startswith("-") and _reads_as_float(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _seed_flag(parser, text="seed for any randomness (a generated seed is printed if omitted)"):
     parser.add_argument("--seed", type=_non_negative_int, default=None, help=text)
 
@@ -281,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dmd_fit)
     p = g_dmd.add_parser("predict", help="evaluate a fitted model at a time")
     p.add_argument("--model", required=True)
-    p.add_argument("--t", type=float, required=True)
+    _float_option(p, "--t", required=True)
     p.set_defaults(func=cmd_dmd_predict)
 
     g_as = groups.add_parser("as", help="active-subspace analysis").add_subparsers(
@@ -291,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with columns mu_1..mu_m,f[,g_1..g_m]")
     p.add_argument("--boot", type=_non_negative_int, default=100)
     p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--split", type=float, default=0.75)
+    _float_option(p, "--split", default=0.75)
     p.add_argument("--split-seed", type=_non_negative_int, default=0)
     p.add_argument("--rule", default="largest-gap", choices=asub.AnalysisSettings.RULES)
     p.add_argument("--dim", type=int, default=None,
@@ -308,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True)
     p = g_rb.add_parser("simulate", help="integrate a trajectory")
     p.add_argument("--config", required=True, help="body JSON document")
-    p.add_argument("--t-end", dest="t_end", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    _float_option(p, "--t-end", dest="t_end", required=True)
+    _float_option(p, "--dt", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_rigidbody_simulate)
 
@@ -339,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()  # fills _FLOAT_OPTIONS
+    args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -18,21 +18,24 @@ integrals and the FFD reference basis of its vertices.  One rule serves
 both: the first caller that asks for an entry builds it, racing callers
 wait for that build, and an entry asked for under another tag is rebuilt.
 
-OBJ files that hold only `v x y z` lines followed by only `f i j k` lines,
-as save_mesh writes them, are parsed in bulk: one whitespace split of the
-whole text and one float or int conversion pass, with the same converters
-the line parser uses, so the arrays are bitwise the same.  Every other file
-(comments, blank lines, other records, `/` references, quads, interleaved
-records, bad numbers, out-of-range indices) goes to the line parser, which
-is the only source of MeshFormatError messages about the text; both paths
-name the file when the mesh refuses a vertex (_parsed_mesh).
+OBJ files that hold only `v x y z` lines followed by only `f i j k` lines
+of plain decimal indices, as save_mesh writes them, with LF or CRLF line
+ends (load_mesh reads in text mode), are parsed in bulk (_parse_plain_obj):
+the vertex section with one whitespace split and the float conversion the
+line parser uses, so the coordinates are bitwise the same, and the face
+section with one np.fromstring, once a line-length test has proved that it
+is exactly such lines.  Every other file (comments, blank lines, other
+records, `/` references, quads, interleaved records, bad numbers,
+zero-padded or out-of-range indices, other line breaks, non-ASCII text)
+goes to the line parser, which is the only source of MeshFormatError
+messages about the text; both paths name the file when the mesh refuses a
+vertex (_parsed_mesh).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,9 @@ from ..textio import FLOAT, write_text
 _XYZ = f"{FLOAT} {FLOAT} {FLOAT}\n"
 _OBJ_VERTEX = "v " + _XYZ
 _OBJ_FACE = "f %d %d %d\n"
+# the ASCII line breaks str.splitlines honours besides "\n"; load_mesh reads
+# in text mode, which has already turned "\r\n" and "\r" into "\n"
+_OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 _STL_FACET = ("  facet normal " + _XYZ + "    outer loop\n" + ("      vertex " + _XYZ) * 3
               + "    endloop\n  endfacet\n")
 
@@ -244,30 +250,59 @@ def _parse_obj(text: str, origin: str) -> TriMesh:
 def _parse_plain_obj(text: str, origin: str) -> TriMesh | None:
     """Bulk parse of `v x y z` lines followed by `f i j k` lines, else None.
 
-    Each line starts with a one-letter tag token.  If the n lines hold 4n
-    tokens but some line holds other than 4, another line's tag lands in a
-    number's slot, where neither "v" nor "f" converts, so the conversion
-    fails for any file the line parser would read differently.
+    Taken by ASCII text whose lines, split at "\n", start with "v " up to
+    the first that starts with "f ", and with "f " from there on.  Non-ASCII
+    text and the other line breaks str.splitlines honours are left to the
+    line parser.
+
+    The vertex section is split once and each coordinate converted with
+    float, as the line parser converts it.  If its n lines hold 4n tokens
+    but some line holds other than 4, another line's "v" lands in a
+    number's slot, where float fails.
+
+    The face section, once it holds only "f", space, digits and "\n", is
+    converted by one np.fromstring with its "f"s deleted.  An index that
+    overflows is clamped to INT64_MAX, which the 1..V range check refuses.
+    A line-length test then proves the section is `f a b c` lines of plain
+    decimal indices.  A line that starts with "f " and holds k digit runs
+    holds at least one "f" and k spaces, and each run at least the digits
+    of the index it parses to, so the line is at least 2 + k characters
+    longer than those digits.  If every line is exactly 5 longer than the
+    digits of the next three parsed indices, nothing is left over: one "f",
+    three runs each after one space, and no leading zeros.  (Were some line
+    to hold more runs than three, the lines up to it would be too long in
+    total; fewer, too short.)
     """
-    lines = text.splitlines()
-    n = len(lines)
-    if not all(map(str.startswith, lines, repeat(("v ", "f ")))):
+    if not text.isascii() or any(brk in text for brk in _OTHER_LINE_BREAKS):
         return None
-    del lines  # never hold the line and token lists at once
-    tokens = text.split()
-    if len(tokens) != 4 * n:
+    if not text.endswith("\n"):
+        text += "\n"
+    split = text.find("\nf ") + 1  # 0 when no line after the first starts with "f "
+    vertex_text, face_text = (text[:split], text[split:]) if split else (text, "")
+    nv, nf = vertex_text.count("\n"), face_text.count("\n")
+    if not vertex_text.startswith("v ") or vertex_text.count("\nv ") != nv - 1:
         return None
-    tags = tokens[::4]
-    nv = tags.count("v")
-    if not nv or tags != ["v"] * nv + ["f"] * (n - nv):
+    tokens = vertex_text.split()
+    if len(tokens) != 4 * nv:
         return None
-    del tags, tokens[::4]
+    del tokens[::4]
     try:
-        v = np.fromiter(map(float, islice(tokens, 3 * nv)), float, 3 * nv)
-        t = np.fromiter(map(int, islice(tokens, 3 * nv, None)), np.int64, 3 * (n - nv))
-    except (ValueError, OverflowError):
+        v = np.fromiter(map(float, tokens), float, 3 * nv)
+    except ValueError:
         return None
-    if t.size and (t.min() < 1 or t.max() > nv):
+    del tokens  # never hold the vertex strings and the face buffers at once
+    face_bytes = face_text.encode("ascii")
+    if face_bytes.translate(None, b"f 0123456789\n") or face_text.count("\nf ") != max(nf - 1, 0):
+        return None
+    t = np.fromstring(face_bytes.replace(b"f", b""), dtype=np.int64, sep=" ")
+    if len(t) != 3 * nf or (nf and (t.min() < 1 or t.max() > nv)):
+        return None
+    digits = np.ones_like(t)
+    for k in range(1, len(str(nv))):
+        digits += t >= 10 ** k
+    line_ends = np.flatnonzero(np.frombuffer(face_bytes, np.uint8) == ord("\n"))
+    if not np.array_equal(np.diff(line_ends, prepend=-1),
+                          5 + digits.reshape(-1, 3).sum(axis=1)):
         return None
     t -= 1
     return _parsed_mesh(origin, v.reshape(-1, 3), t.reshape(-1, 3))

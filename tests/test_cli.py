@@ -190,6 +190,64 @@ class TestExitProtocol:
         assert proc.stderr.startswith("error: config:")
 
 
+class TestFloatOptionValues:
+    """A value such as -inf after a float option reaches the command's own check."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, snapshots_csv):
+        model = tmp_path / "model.json"
+        assert cli.main(["dmd", "fit", "--in", str(snapshots_csv[0]),
+                         "--out", str(model)]) == 0
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({"mass": 1.0, "inertia": np.eye(3).tolist()}))
+        table = tmp_path / "table.csv"
+        table.write_text("mu_1,mu_2,f\n0.1,0.2,1\n0.3,0.1,2\n")
+        return {"model": model, "body": body, "table": table, "dir": tmp_path}
+
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        (["dmd", "predict", "--model", "{model}"], "--t", "-inf",
+         "domain: time must be finite, got -inf"),
+        (["dmd", "predict", "--model", "{model}"], "--t", "-nan",
+         "domain: time must be finite, got nan"),
+        (["dmd", "predict", "--model", "{model}"], "--t", "-1e-3",
+         "domain: time -0.001 precedes the training start 0.0"),
+        (["rigidbody", "simulate", "--config", "{body}", "--dt", "0.1", "--out",
+          "{dir}/traj.csv"], "--t-end", "-inf", "domain: time must be finite, got -inf"),
+        (["rigidbody", "simulate", "--config", "{body}", "--t-end", "1", "--out",
+          "{dir}/traj.csv"], "--dt", "-nan",
+         "domain: time step must be finite and positive, got nan"),
+        (["rigidbody", "simulate", "--config", "{body}", "--t-end", "1", "--out",
+          "{dir}/traj.csv"], "--dt", "-1E-4",
+         "domain: time step must be finite and positive, got -0.0001"),
+        # the split fraction is an analysis setting, checked with the config code
+        (["as", "analyze", "--in", "{table}", "--seed", "1", "--out", "{dir}/as.json"],
+         "--split", "-inf", "config: analysis split_fraction must lie in (0, 1), got -inf"),
+    ], ids=["predict-t-inf", "predict-t-nan", "predict-t-exponent", "simulate-t-end-inf",
+            "simulate-dt-nan", "simulate-dt-exponent", "analyze-split-inf"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+    def test_negative_value_reaches_the_check(self, inputs, capsys, argv, flag, value,
+                                              message, joined):
+        argv = [a.format(**inputs) for a in argv]
+        argv += [f"{flag}={value}"] if joined else [flag, value]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+        assert not (inputs["dir"] / "traj.csv").exists()
+
+    def test_entry_point_passes_the_value(self, inputs):
+        proc = run_cli("dmd", "predict", "--model", str(inputs["model"]), "--t", "-inf")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: domain: time must be finite, got -inf\n"
+
+    def test_only_float_values_of_float_options_are_joined(self):
+        cli.build_parser()  # registers the float options
+        assert cli._join_float_values(
+            ["--t", "-inf", "--dt", "-0.5", "--split", "-x", "--seed", "-1e3",
+             "--t-end=-nan", "--t-end", "--dt"]) == [
+            "--t=-inf", "--dt=-0.5", "--split", "-x", "--seed", "-1e3", "--t-end=-nan",
+            "--t-end", "--dt"]
+
+
 class TestDmdCommands:
     def test_fit_matches_library_bytes(self, tmp_path, snapshots_csv):
         path, snaps = snapshots_csv

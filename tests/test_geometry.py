@@ -347,6 +347,7 @@ OBJ_CORPUS = {
     "interleaved v and f": "v 1 1 1\nf 1 2 3\nv 2 2 2\nv 3 3 3\n",
     "faces only": "f 1 2 3\n",
     "vertex with 4 coordinates": "v 0 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "vertex with 7 coordinates": "v 0 0 0 9 9 9 9\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
     "nan inf 1e400 -0": "v nan inf -inf\nv 1e400 -0 -nan\nv 0 1 -0.0\nf 1 2 3\n",
     "bad coordinate": "v 0 0 0\nv zero 0 0\nv 0 1 0\nf 1 2 3\n",
     "slash references": TRIANGLE + "f 1/1/1 2//2 3/3\n",
@@ -360,6 +361,23 @@ OBJ_CORPUS = {
     "face index 1_0": TEN_VERTICES + "f 1_0 2 3\n",
     "two records on a line, then short lines": "v 1 2 3 v 4 5 6\nv 7\nv 8\nf 1 2 3\n",
     "two records on a line, then a blank line": "v 0 0 0 v 1 0 0\n\nv 0 1 0\nf 1 2 3\n",
+    "vertices only": TEN_VERTICES,
+    "lone CR line breaks": (TRIANGLE + "f 1 2 3\n").replace("\n", "\r"),
+    "form feed line breaks": (TRIANGLE + "f 1 2 3\n").replace("\n", "\x0c"),
+    "file separator line breaks": (TRIANGLE + "f 1 2 3\n").replace("\n", "\x1c"),
+    "form feed inside a vertex record": "v 0 0\x0c0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "crlf, no trailing newline": (TRIANGLE + "f 1 2 3").replace("\n", "\r\n"),
+    # as long as three `f a b c` lines, but only the first is a face record
+    "padded lines of face length": TEN_VERTICES + "f 1 2 3\nff4 5 6\n  7 8 9\n",
+    "face line ending in f": TEN_VERTICES + "f 1 2 3\n 4 5 6f\n",
+    "double space in a face": TRIANGLE + "f 1  2 3\n",
+    "space before a face's newline": TRIANGLE + "f 1 2 3 \n",
+    "face index 01": TRIANGLE + "f 01 2 3\n",
+    "face index +1": TRIANGLE + "f +1 2 3\n",
+    "face index in Arabic-Indic digits": TRIANGLE + "f \u0661 2 3\n",
+    "quad, then a face with 2 corners": TEN_VERTICES + "f 1 2 3 4\nf 5 6\n",
+    "f inside a face line": TEN_VERTICES + "f 1 2 3\nf 1f2 3\n",
+    "face index 2**63": TRIANGLE + f"f 1 2 {2 ** 63}\n",
 }
 
 
@@ -380,6 +398,9 @@ class TestObjBulkParse:
         expected = parse_outcome(
             lambda: mesh_module._parse_obj_lines(path.read_text(), str(path)))
         assert parse_outcome(lambda: load_mesh(path, validate=False)) == expected
+        # and on the text before a text-mode read turns "\r\n" and "\r" into "\n"
+        assert (parse_outcome(lambda: mesh_module._parse_obj(text, "m"))
+                == parse_outcome(lambda: mesh_module._parse_obj_lines(text, "m")))
 
     def test_written_files_take_the_bulk_path(self, tmp_path, monkeypatch):
         calls = []
@@ -392,8 +413,11 @@ class TestObjBulkParse:
         monkeypatch.setattr(mesh_module, "_parse_obj_lines", counting)
         written = tmp_path / "sphere.obj"
         save_mesh(icosphere(2), written)
+        crlf = tmp_path / "sphere-crlf.obj"
+        crlf.write_bytes(written.read_bytes().replace(b"\n", b"\r\n"))
         shipped = files("morphreduce") / "data" / "demo_hull.obj"
         assert load_mesh(written).num_vertices == icosphere(2).num_vertices
+        assert parse_outcome(lambda: load_mesh(crlf)) == parse_outcome(lambda: load_mesh(written))
         assert load_mesh(str(shipped)).num_vertices == demo_hull().num_vertices
         assert calls == []
         commented = tmp_path / "cube.obj"
