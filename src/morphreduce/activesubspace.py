@@ -161,7 +161,8 @@ class ASDecomposition:
         return self.eigenvectors[:, :self.active_dim]
 
 
-# float64 values of the two distance buffers of one row block (rows x N x 2): 512 KB
+# float64 values of the bound buffer of one row block and of its fallback
+# scratch (rows x N x 2): 512 KB
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -173,7 +174,9 @@ def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> Sa
     extra evaluations are needed.  Neighbors are ranked by squared distance
     in the normalized inputs, equal distances by the lower row index, so a
     row's indices are np.argsort(d2, kind="stable")[:k] of its row of the
-    distance matrix.  The fits of each block of rows are stacked QR
+    distance matrix; _neighbor_blocks finds them without forming that row
+    for most rows, and its differences x_j - x_i are the design matrices'
+    columns.  The fits of each block of rows are stacked QR
     solves: one QR of the design matrices A = [1, x_j - x_i] with f_j
     appended, then one solve of R c = Q^T f.  A neighborhood is
     rank-deficient by lstsq's rule, smallest singular value at most
@@ -195,13 +198,12 @@ def estimate_gradients(table: SampleTable, n_neighbors: int | None = None) -> Sa
     f = table.outputs
     grads = np.empty((n, m))
     tol = np.finfo(float).eps * max(k, m + 1)
-    for start, d2 in _distance_blocks(x):
-        nbr = _nearest(d2, k)
+    for start, nbr, near in _neighbor_blocks(x, k):
         stop = start + len(nbr)
         # the R factor of [A | f] holds the R of A and, in its last column, Q^T f
         a = np.empty((len(nbr), k, m + 2))
         a[:, :, 0] = 1.0
-        np.subtract(x[nbr], x[start:stop, None, :], out=a[:, :, 1:-1])
+        a[:, :, 1:-1] = near
         a[:, :, -1] = f[nbr]
         r = np.linalg.qr(a, mode="r")[:, :m + 1]
         deficient = _rank_deficient(r[:, :, :-1], tol)
@@ -237,55 +239,99 @@ def _rank_deficient(r: np.ndarray, tol: float) -> np.ndarray:
     return deficient
 
 
-def _distance_blocks(x: np.ndarray):
-    """Yield (first row, squared distances to every row) for blocks of rows of x.
+def _neighbor_blocks(x: np.ndarray, k: int):
+    """Yield (first row, neighbours, x[nbr] - x[rows]) for blocks of rows of x.
 
-    A block's distances are summed one parameter column at a time, left to
-    right (j = 0 ... m - 1).  The differences are squared directly, not
-    expanded as |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so a duplicate row is at
-    distance exactly 0, as the stable tie order needs.  The sum and the
-    column square live in two (rows, N) buffers allocated once, with
-    rows * N * 2 <= _BLOCK_ELEMENTS, so memory stays O(N m); each yielded
-    block is overwritten by the next.
+    A row's k neighbours are np.argsort(d2, kind="stable")[:k] of its exact
+    squared distances d2, summed one parameter column at a time, left to
+    right (j = 0 ... m - 1), from the squared differences: a duplicate row
+    is at distance exactly 0, as the stable tie order needs.  The neighbours
+    are found without sorting whole rows:
+
+    1. Bound.  b_ij = [x_i, n_i, 1] . [-2 x_j, 1, n_j] with n = sum x^2, one
+       matrix product per block, approximates d2_ij.
+    2. Candidates.  One argpartition of b at place k; the first k columns
+       are the candidates, and every other column's bound is at least the
+       bound at place k, called outside.
+    3. Exact check.  The candidates' exact d2, summed as above, so they
+       equal the full row's values bit for bit.
+    4. Order.  One argsort of the candidates' exact values.
+    5. Fallback.  A row whose sorted candidates hold two equal values, or
+       whose outside is not above its k-th exact value plus a margin, takes
+       the stable argsort of its full exact row.  Otherwise every other
+       column is strictly farther than the k-th neighbour, so the sorted
+       candidates are the stable prefix.
+    With k = N every column is a candidate and no bound is needed.
+
+    The margin, with p = m + 2, u the unit roundoff and gamma_p = p u /
+    (1 - p u), n the exact and n' the computed squared norms: in any
+    summation order a computed inner product of length p is within
+    gamma_p |a|.|b| of the exact one, so b_ij is within gamma_p
+    (2 |x_i| |x_j| + n'_i + n'_j) <= gamma_p (2 + gamma_m) (n_i + n_j) of
+    n'_i + n'_j - 2 x_i.x_j, which is within gamma_m (n_i + n_j) of the
+    exact d2_ij.  The left-to-right d2_ij is within gamma_p d2_ij <=
+    2 gamma_p (n_i + n_j) of it.  So b_ij and the computed d2_ij differ by
+    less than about 5 gamma_p (n_i + n_j) < 6 p u (n'_i + max_j n'_j).  The
+    margin is 8 p (u (n'_i + max_j n'_j) + eta), eta the smallest
+    subnormal: the spare factor covers the rounding of the margin and of
+    the test, and eta the absolute error of a product that underflows.
+    Every partial sum of a bound is below about 2 (n_i + n_j), so no bound
+    overflows while 8 max_j n'_j is finite; otherwise every row falls back.
+
+    The bound and the candidates' differences and distances live in buffers
+    allocated once per call, with rows * N * 2 <= _BLOCK_ELEMENTS, so memory
+    stays O(rows N + rows k m); each block's neighbours and differences are
+    new arrays.
     """
     n, m = x.shape
-    xt = np.ascontiguousarray(x.T)
-    rows = max(1, _BLOCK_ELEMENTS // (2 * n))
-    buffers = np.empty((2, min(rows, n), n))
+    norms = np.einsum("ij,ij->i", x, x)
+    lhs = np.column_stack([x, norms, np.ones(n)])
+    rhs = np.vstack([-2.0 * x.T, np.ones(n), norms])
+    info = np.finfo(float)
+    margin = 8.0 * (m + 2) * (info.eps / 2 * (norms + norms.max()) + info.smallest_subnormal)
+    if norms.max() > info.max / 8:  # a bound may overflow
+        margin[:] = np.inf
+    rows = min(max(1, _BLOCK_ELEMENTS // (2 * n)), n)
+    bound, sq = np.empty((2, rows, n))
+    diff = np.empty((rows, k, m))
+    d2, col = np.empty((2, rows, k))
+    row_n = np.arange(0, rows * n, n)  # flat offsets of the rows of bound
+    row_k = np.arange(0, rows * k, k)[:, None]  # and of the rows of d2
     for start in range(0, n, rows):
-        d2, sq = buffers[:, :min(rows, n - start)]
-        for j in range(m):
-            col = sq if j else d2
-            np.subtract(xt[j], xt[j, start:start + len(d2), None], out=col)
-            np.square(col, out=col)
-            if j:
-                d2 += sq
-        yield start, d2
-
-
-def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of d2, in order.
-
-    Equals np.argsort(d2, axis=1, kind="stable")[:, :k] (value, then lower
-    index) without sorting whole rows.  One argpartition at place k puts
-    the k smallest values and then the (k+1)-th first, and one argsort
-    orders these k + 1 candidates.  A row's cut is ambiguous only when the
-    (k+1)-th value equals the largest selected one, and the order is the
-    stable one only when no two selected values tie; a row with any two
-    equal adjacent candidates is sorted in full.
-    """
-    rows, n = d2.shape
-    if k == n:
-        return np.argsort(d2, axis=1, kind="stable")
-    part = np.argpartition(d2, k, axis=1)[:, :k + 1]
-    ds = np.take(d2, part + np.arange(0, rows * n, n)[:, None])
-    order = np.argsort(ds, axis=1) + np.arange(0, rows * (k + 1), k + 1)[:, None]
-    ds = np.take(ds, order)
-    nbr = np.take(part, order[:, :k])
-    redo = (ds[:, 1:] == ds[:, :-1]).any(axis=1)
-    if redo.any():
-        nbr[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
-    return nbr
+        stop = min(start + rows, n)
+        count = stop - start
+        if k < n:
+            np.matmul(lhs[start:stop], rhs, out=bound[:count])
+            part = np.argpartition(bound[:count], k, axis=1)
+            cand = part[:, :k]
+            outside = np.take(bound[:count], part[:, k] + row_n[:count])
+        else:
+            cand = np.broadcast_to(np.arange(n), (count, n))
+            outside = np.inf
+        np.take(x, cand, axis=0, out=diff[:count])
+        np.subtract(diff[:count], x[start:stop, None, :], out=diff[:count])
+        np.square(diff[:count, :, 0], out=d2[:count])
+        for j in range(1, m):
+            d2[:count] += np.square(diff[:count, :, j], out=col[:count])
+        order = np.argsort(d2[:count], axis=1)
+        nbr = np.take_along_axis(cand, order, axis=1)
+        order += row_k[:count]
+        ds = np.take(d2[:count], order)
+        near = np.take(diff[:count].reshape(-1, m), order, axis=0)
+        redo = ((ds[:, 1:] == ds[:, :-1]).any(axis=1)
+                | ~(outside > ds[:, -1] + margin[start:stop]))
+        if redo.any():
+            ids = start + np.flatnonzero(redo)
+            full, sq_ids = bound[:len(ids)], sq[:len(ids)]
+            for j in range(m):
+                term = sq_ids if j else full
+                np.subtract(x[:, j], x[ids, j, None], out=term)
+                np.square(term, out=term)
+                if j:
+                    full += sq_ids
+            nbr[redo] = np.argsort(full, axis=1, kind="stable")[:, :k]
+            near[redo] = x[nbr[redo]] - x[ids, None, :]
+        yield start, nbr, near
 
 
 def _covariance(rows: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import morphreduce.activesubspace as asub
-from morphreduce.activesubspace import (_covariance, _distance_blocks, _nearest,
-                                        _sorted_eig, AnalysisSettings,
-                                        ASDecomposition, SampleTable, analyze_table,
+from morphreduce.activesubspace import (_covariance, _neighbor_blocks, _sorted_eig,
+                                        AnalysisSettings, ASDecomposition, SampleTable,
+                                        analyze_table,
                                         choose_active_dimension, decompose, estimate_gradients,
                                         evaluate_surface, fit_response_surface,
                                         load_sample_table, replicated_errors,
@@ -95,20 +95,32 @@ class TestGradientEstimation:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 300])
     @pytest.mark.parametrize("layout", ["uniform", "quarter-grid"])
-    def test_block_distances_equal_full_matrix_bitwise(self, monkeypatch, m, layout):
-        # the columns are summed left to right, j = 0 ... m - 1, at every m; the
-        # m include those where numpy's own pairwise sum would use another order
+    @pytest.mark.parametrize("k_rule", ["m+1", "N"])
+    def test_candidate_distances_equal_full_matrix_bitwise(self, monkeypatch, m, layout, k_rule):
+        # the candidates' distances are summed left to right, j = 0 ... m - 1, at
+        # every m; the m include those where numpy's own pairwise sum would use
+        # another order.  They are the values the candidates are sorted by
         monkeypatch.setattr(asub, "_BLOCK_ELEMENTS", 60 * 20)  # 10 rows per block
         rng = np.random.default_rng([9, m, len(layout)])
         if layout == "quarter-grid":
             x = rng.integers(-4, 5, (60, m)) / 4.0
         else:
             x = rng.uniform(-1.0, 1.0, (60, m))
-        blocks = [(start, d2.copy()) for start, d2 in _distance_blocks(x)]
-        assert len(blocks) >= 3 and [start for start, _ in blocks] == list(
-            np.cumsum([0] + [len(d2) for _, d2 in blocks[:-1]]))
-        full = functools.reduce(np.add, ((x[:, None, j] - x[None, :, j]) ** 2 for j in range(m)))
-        assert np.array_equal(np.vstack([d2 for _, d2 in blocks]), full)
+        k = {"m+1": min(m + 1, 60), "N": 60}[k_rule]
+        partitions = recorded_calls(monkeypatch, "argpartition")
+        sorts = recorded_calls(monkeypatch, "argsort")
+        blocks = list(_neighbor_blocks(x, k))
+        monkeypatch.undo()
+        full = left_to_right_distances(x)
+        sorted_values = [a for a, kwargs, _ in sorts if "kind" not in kwargs]
+        assert len(blocks) >= 3 and len(sorted_values) == len(blocks)
+        assert len(partitions) == (len(blocks) if k < 60 else 0)
+        for b, (start, nbr, near) in enumerate(blocks):
+            rows = np.arange(start, start + len(nbr))[:, None]
+            cand = partitions[b][2][:, :k] if k < 60 else np.arange(60)
+            assert np.array_equal(sorted_values[b], full[rows, cand])
+            assert np.array_equal(nbr, np.argsort(full[rows[:, 0]], axis=1, kind="stable")[:, :k])
+            assert np.array_equal(near, x[nbr] - x[rows])
 
     def test_memory_is_not_quadratic_in_samples(self):
         assert gradient_peak_bytes(1500, 8, seed=5) < 8e6  # one 1500^2 matrix takes 18 MB
@@ -164,38 +176,76 @@ class TestGradientEstimation:
         else:
             assert_gradients_match(estimate_gradients(table, n_neighbors=40).gradients, ref)
 
-    @pytest.mark.parametrize("k", [1, 2, 7, 29, 30])
-    def test_nearest_is_stable_argsort_prefix(self, k):
-        rng = np.random.default_rng(8)
-        d2 = rng.integers(0, 4, (60, 30)).astype(float)  # many ties per row
-        d2[:5] = 1.0  # rows of one value
-        d2[5, :] = np.inf
-        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_nearest(d2, k), expected)
-
-    def test_nearest_is_stable_argsort_prefix_for_every_k(self):
-        # per k: rows tied only at places k and k + 1, rows tied only inside
-        # the first k places, random integer rows and rows with inf entries
-        rng = np.random.default_rng(10)
-        n = 24
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_neighbours_are_stable_argsort_prefix_for_every_k(self, monkeypatch, m):
+        # integer points and duplicated rows: for every k some row ties at
+        # places k and k + 1 and some row ties inside its first k places
+        monkeypatch.setattr(asub, "_BLOCK_ELEMENTS", 24 * 8)  # 4 rows per block
+        rng = np.random.default_rng([10, m])
+        x = rng.integers(-2, 3, (20, m)).astype(float)
+        x = np.vstack([x, x[:4]])
+        n = len(x)
+        full = left_to_right_distances(x)
+        ranked = np.sort(full, axis=1)
+        table = SampleTable(x, np.zeros(n))
         for k in range(1, n + 1):
-            distinct = np.sort(rng.permutation(n) + rng.uniform(0.0, 0.5, (12, n)), axis=1)
-            at_cut, inside = distinct[:6], distinct[6:]
             if k < n:
-                at_cut[:, k] = at_cut[:, k - 1]
+                assert (ranked[:, k - 1] == ranked[:, k]).any(), k
             if k > 1:
-                tie = rng.integers(0, k - 1, len(inside))
-                inside[np.arange(len(inside)), tie + 1] = inside[np.arange(len(inside)), tie]
-            ties = np.vstack([at_cut, inside])
-            ties = np.take_along_axis(ties, rng.permuted(np.tile(np.arange(n), (12, 1)),
-                                                          axis=1), axis=1)
-            integer = rng.integers(0, 5, (12, n)).astype(float)
-            infinite = rng.integers(0, 5, (4, n)).astype(float)
-            infinite[0] = np.inf
-            infinite[1:, ::3] = np.inf
-            for d2 in (ties, integer, infinite):
-                expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
-                assert np.array_equal(_nearest(d2, k), expected), k
+                assert (ranked[:, 1:k] == ranked[:, :k - 1]).any(), k
+            got, n_blocks = block_neighbors(table, k)
+            assert n_blocks == 6
+            assert np.array_equal(got, np.argsort(full, axis=1, kind="stable")[:, :k]), k
+
+    def test_displaced_cuts_fall_back_through_the_margin(self, monkeypatch):
+        # a quarter grid moved by a few ulps: most exact ties are broken, but
+        # the bound cannot tell distances a few ulps apart, so rows whose first
+        # k + 1 distances are all distinct still take the full-row sort
+        rng = np.random.default_rng(14)
+        grid = rng.integers(1, 9, (300, 3)) / 8.0
+        x = grid + rng.integers(-3, 4, grid.shape) * np.spacing(grid)
+        k = 30
+        full = left_to_right_distances(x)
+        ranked = np.sort(full, axis=1)
+        tied = (ranked[:, 1:k + 1] == ranked[:, :k]).any(axis=1)
+        row_of = {row.tobytes(): i for i, row in enumerate(full)}
+        assert len(row_of) == len(x)
+        fallbacks = recorded_calls(monkeypatch, "argsort")
+        got = block_neighbors(SampleTable(x, np.zeros(len(x))), k)[0]
+        monkeypatch.undo()
+        fell_back = np.zeros(len(x), dtype=bool)
+        for a, kwargs, _ in fallbacks:
+            if kwargs.get("kind") == "stable":
+                fell_back[[row_of[row.tobytes()] for row in a]] = True
+        assert (fell_back >= tied).all()  # every row with a tie falls back
+        assert (fell_back & ~tied).any()  # and some rows only through the margin
+        assert np.array_equal(got, np.argsort(full, axis=1, kind="stable")[:, :k])
+
+    @pytest.mark.parametrize("layout, k", [("cluster", 8), ("cluster", 30), ("overflow", 8),
+                                           ("near-overflow", 8), ("infinite", 8)])
+    def test_bounds_that_cannot_resolve_a_cut_fall_back_on_every_row(
+            self, monkeypatch, layout, k):
+        # a cluster 0.9 +- 1e-9: the bound's error exceeds every distance.
+        # Coordinates 2e154 to 2.1e154: the squared norms overflow, every bound
+        # is inf - inf = NaN, while the distances stay finite and distinct.
+        # Near 3.9e153 the squared norms (about 6e307) are finite but a bound
+        # could overflow.  At 1e200 most distances are inf and tie
+        rng = np.random.default_rng(15)
+        if layout == "cluster":
+            x = 0.9 + rng.uniform(-1e-9, 1e-9, (60, 4))
+        elif layout == "overflow":
+            x = 2e154 * (1.0 + 0.05 * rng.uniform(0.0, 1.0, (60, 4)))
+        elif layout == "near-overflow":
+            x = 3.9e153 * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, (60, 4)))
+        else:
+            x = 1e200 * rng.uniform(-1.0, 1.0, (60, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = left_to_right_distances(x)
+            fallbacks = recorded_calls(monkeypatch, "argsort")
+            got = block_neighbors(SampleTable(x, np.zeros(60)), k)[0]
+        monkeypatch.undo()
+        assert sum(len(a) for a, kwargs, _ in fallbacks if kwargs.get("kind") == "stable") == 60
+        assert np.array_equal(got, np.argsort(full, axis=1, kind="stable")[:, :k])
 
     def test_well_conditioned_table_needs_no_svd(self, monkeypatch):
         table = ridge_table(n=2000, m=8, seed=11, exact=False)[0]
@@ -204,6 +254,37 @@ class TestGradientEstimation:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
         estimate_gradients(table)
         assert calls == []
+
+    def test_uniform_table_takes_no_full_row_sort(self, monkeypatch):
+        # the reduce_large size: every row's cut is resolved by the bound
+        table = ridge_table(n=2000, m=8, seed=16, exact=False)[0]
+        x, k = table.normalized_inputs(), 200
+        sorts = recorded_calls(monkeypatch, "argsort")
+        got = block_neighbors(table, k)[0]
+        monkeypatch.undo()
+        assert [kwargs for _, kwargs, _ in sorts if "kind" in kwargs] == []
+        for start in range(0, 2000, 250):
+            rows = np.arange(start, start + 250)
+            expected = np.argsort(left_to_right_distances(x, rows), axis=1, kind="stable")
+            assert np.array_equal(got[rows], expected[:, :k])
+
+    def test_large_table_sampled_rows_match_per_row_reference_bitwise(self):
+        # reduce_large's 2000 x 8 table and default k; full_sort_reference
+        # would need an N^2 m array, so 200 sampled rows are checked one by one
+        rng = np.random.default_rng(17)
+        m, n = 8, 2000
+        x = rng.uniform(-1.0, 1.0, (n, m))
+        table = SampleTable(x, np.sin(x @ rng.standard_normal(m)) + 0.01 * rng.standard_normal(n),
+                            bounds=box_bounds(m))
+        k = max(m + 2, int(np.ceil(n / 10)))
+        got = estimate_gradients(table).gradients
+        xn, f = table.normalized_inputs(), table.outputs
+        for i in rng.choice(n, 200, replace=False):
+            nbr = np.argsort(left_to_right_distances(xn, [i])[0], kind="stable")[:k]
+            a = np.column_stack([np.ones(k), xn[nbr] - xn[i], f[nbr]])
+            r = np.linalg.qr(a, mode="r")[:m + 1]
+            ref = np.linalg.solve(r[:, :-1], r[:, -1:])[1:, 0] / table._center_half()[1]
+            assert np.array_equal(got[i].view(np.int64), ref.view(np.int64)), i
 
     def test_gradients_equal_qr_solve_reference_bitwise(self, monkeypatch):
         monkeypatch.setattr(asub, "_BLOCK_ELEMENTS", 300 * 40)  # several row blocks
@@ -262,11 +343,31 @@ def full_sort_reference(table, k):
 
 def block_neighbors(table, k):
     """The neighbour indices estimate_gradients fits, and the number of row blocks."""
-    x = table.normalized_inputs()
-    blocks = [(start, _nearest(d2, k)) for start, d2 in _distance_blocks(x)]
+    blocks = [(start, nbr) for start, nbr, _ in _neighbor_blocks(table.normalized_inputs(), k)]
     assert [start for start, _ in blocks] == list(
         np.cumsum([0] + [len(nbr) for _, nbr in blocks[:-1]]))
     return np.concatenate([nbr for _, nbr in blocks]), len(blocks)
+
+
+def left_to_right_distances(x, rows=slice(None)):
+    """Squared distances of the rows x[rows] to every row of x, summed over
+    the parameter columns left to right."""
+    return functools.reduce(np.add, ((x[rows, None, j] - x[None, :, j]) ** 2
+                                     for j in range(x.shape[1])))
+
+
+def recorded_calls(monkeypatch, name):
+    """Record (copy of the first argument, keyword arguments, result) of
+    every call of np.<name> until monkeypatch.undo()."""
+    calls = []
+    func = getattr(np, name)
+
+    def recording(a, *args, **kwargs):
+        out = func(a, *args, **kwargs)
+        calls.append((np.array(a), kwargs, out))
+        return out
+    monkeypatch.setattr(np, name, recording)
+    return calls
 
 
 def assert_gradients_match(got, ref):
