@@ -2,10 +2,21 @@
 
 The pressure force uses a one-point quadrature per triangle (mean of the
 three vertex values), which is exact for fields varying linearly over each
-triangle.  Accumulation is a plain numpy sum over the triangle axis, so
-results are run-to-run identical for a given mesh.  The enclosed volume and
-its first moment come from one pass over the signed tetrahedra, kept in the
-mesh's own memo; the closedness count is kept once per connectivity.
+triangle.
+
+Surface area, enclosed volume and its first moment come from one
+per-triangle pass (_triangle_terms): area, det(v0, v1, v2) and
+det·(v0 + v1 + v2)/4, each elementwise in its triangle's corners.  Their
+sums are kept in the mesh's own memo, the closedness count once per
+connectivity.  A mesh with as many vertices as its connectivity's
+reference (see mesh.py) recomputes the terms only of the triangles with a
+corner that differs bitwise from the reference's, and writes them into
+copies of the reference's terms, built once per connectivity.  A mesh with
+another vertex count, or with every triangle moved, takes the full pass.
+Each term is the same IEEE operations on the same corners either way, and
+the sums reduce whole (T,) and (T, 3) arrays with the same numpy calls, so
+every result is bitwise the full pass's and run-to-run identical for a
+given mesh.
 """
 
 from __future__ import annotations
@@ -28,11 +39,11 @@ class ForceResult:
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
-    return 0.5 * np.linalg.norm(triangle_cross_products(mesh), axis=1)
+    return np.array(_mesh_terms(mesh, mesh.moved_rows())[0])
 
 
 def surface_area(mesh: TriMesh) -> float:
-    return float(triangle_areas(mesh).sum())
+    return _integrals(mesh)[0]
 
 
 def boundary_edge_count(mesh: TriMesh) -> int:
@@ -80,21 +91,48 @@ def _require_closed(mesh: TriMesh) -> None:
         )
 
 
-def _volume_moment(mesh: TriMesh):
-    """(volume, first moment) of a closed oriented mesh, from one tetrahedra pass.
+def _triangle_terms(a, b, c):
+    """(area, det(a, b, c), det·(a + b + c)/4) of the triangles with corners a, b, c.
 
-    Each triangle spans a tetrahedron with the origin of signed volume
-    det(v0, v1, v2)/6 and centroid (v0 + v1 + v2)/4.  The pair is kept in the
-    mesh's memo; an open mesh raises on every call and memoizes nothing.
+    Each triangle spans a tetrahedron with the origin of signed volume det/6
+    and centroid (a + b + c)/4.  Every term is elementwise in its own rows.
     """
-    _require_closed(mesh)
+    area = 0.5 * np.linalg.norm(_cross(b - a, c - a), axis=1)
+    det = np.einsum("ij,ij->i", a, _cross(b, c))
+    return area, det, det[:, None] * ((a + b + c) / 4.0)  # fourth vertex is the origin
+
+
+def _mesh_terms(mesh: TriMesh, moved):
+    """_triangle_terms of every triangle of mesh.
+
+    With moved, mesh.moved_rows(), only the triangles with a moved corner
+    are computed; the others keep the reference's terms.
+    """
+    index = mesh.corner_indices()
+    if moved is not None:
+        touched = np.take(moved, index[0]) | np.take(moved, index[1]) | np.take(moved, index[2])
+        rows = np.flatnonzero(touched)
+        if len(rows) < len(touched):
+            ref_terms = mesh.reference_entry(
+                "triangle_terms", lambda ref: _triangle_terms(*np.take(ref, index, axis=0)))
+            if not len(rows):
+                return ref_terms
+            terms = tuple(np.array(term) for term in ref_terms)
+            fresh = _triangle_terms(*np.take(mesh.vertices, index[:, rows], axis=0))
+            for term, part in zip(terms, fresh):
+                term[rows] = part
+            return terms
+    return _triangle_terms(*np.take(mesh.vertices, index, axis=0))
+
+
+def _integrals(mesh: TriMesh):
+    """(area, volume, first moment), summed from _mesh_terms and kept in the memo."""
+    moved = mesh.moved_rows()  # looked up first: a build never asks its own cache
 
     def build():
-        a, b, c = mesh.corner_coordinates()
-        det = np.einsum("ij,ij->i", a, _cross(b, c))
-        tet_centroid = (a + b + c) / 4.0  # fourth vertex is the origin
-        return float(det.sum() / 6.0), (det[:, None] * tet_centroid).sum(axis=0) / 6.0
-    return mesh.memo_entry("volume_moment", build)
+        area, det, moment = _mesh_terms(mesh, moved)
+        return float(area.sum()), float(det.sum() / 6.0), moment.sum(axis=0) / 6.0
+    return mesh.memo_entry("integrals", build)
 
 
 def enclosed_volume(mesh: TriMesh) -> float:
@@ -103,14 +141,16 @@ def enclosed_volume(mesh: TriMesh) -> float:
     Computed as the sum of signed tetrahedra det(v0, v1, v2)/6, which equals
     the divergence-theorem form (1/3) * sum(centroid . normal * area) on
     closed surfaces and is exact on integer-coordinate meshes.  Positive for
-    outward orientation.
+    outward orientation.  An open mesh raises on every call and memoizes nothing.
     """
-    return _volume_moment(mesh)[0]
+    _require_closed(mesh)
+    return _integrals(mesh)[1]
 
 
 def volume_centroid(mesh: TriMesh) -> np.ndarray:
     """Centroid of the enclosed volume (divergence-theorem tetrahedra sum)."""
-    vol, moment = _volume_moment(mesh)
+    _require_closed(mesh)
+    _, vol, moment = _integrals(mesh)
     if vol == 0.0:
         raise DomainError("volume centroid undefined for zero enclosed volume")
     return moment / vol

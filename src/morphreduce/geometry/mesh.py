@@ -11,12 +11,17 @@ coordinate is refused when the mesh is built.
 A mesh keeps derived facts in two caches of one kind (_Cache).  The
 connectivity cache, shared by every mesh derived with with_vertices or
 with_scalar_field, holds what depends on the triangles alone (closedness,
-the OBJ face block) and the OBJ vertex lines of the first mesh written, so
-that writing a deformed copy formats only the vertices that moved.  The
-memo, each mesh's own, holds what depends on its vertices too: its volume
-integrals and the FFD reference basis of its vertices.  One rule serves
-both: the first caller that asks for an entry builds it, racing callers
-wait for that build, and an entry asked for under another tag is rebuilt.
+the OBJ face block, the corner indices as three contiguous rows) and one
+reference: the locked vertex array of the first mesh of the connectivity
+that asked for its moved rows, with what is built from it on demand (its
+OBJ vertex lines and its per-triangle integral terms).  The memo, each
+mesh's own, holds what depends on its vertices too: the mask of its rows
+that differ bitwise from the reference, its surface integrals and the FFD
+reference basis of its vertices.  Writing or integrating a deformed copy
+then formats only the vertices that moved and recomputes only the
+triangles with a moved corner.  One rule serves both caches: the first
+caller that asks for an entry builds it, racing callers wait for that
+build, and an entry asked for under another tag is rebuilt.
 
 OBJ files that hold only `v x y z` lines followed by only `f i j k` lines
 of plain decimal indices, as save_mesh writes them, with LF or CRLF line
@@ -92,8 +97,8 @@ class TriMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     scalar_fields: dict = field(default_factory=dict)
-    # shared with derived meshes: facts of `triangles` and reference OBJ vertex
-    # lines (see _obj_vertex_lines)
+    # shared with derived meshes: facts of `triangles` and of the reference
+    # vertices (see moved_rows)
     _connectivity: _Cache = field(default_factory=_Cache, init=False, repr=False,
                                   compare=False)
     # never shared: facts of these vertices and triangles
@@ -139,9 +144,40 @@ class TriMesh:
         """build(), kept once under tag in this mesh's own memo."""
         return self._memo.get(key, build, tag)
 
+    def corner_indices(self) -> np.ndarray:
+        """The triangles' vertex indices as a locked (3, T) array, one corner per row."""
+        t = self.triangles
+        return self._connectivity.get("corner_indices", lambda: _as_locked(t.T, np.int64, (3, -1)))
+
     def corner_coordinates(self):
         """Vertex coordinates of every triangle, as three (T, 3) arrays."""
-        return tuple(np.take(self.vertices, self.triangles.T, axis=0))
+        return tuple(np.take(self.vertices, self.corner_indices(), axis=0))
+
+    def _reference(self) -> np.ndarray:
+        """The locked vertex array of the first mesh of this connectivity to ask."""
+        v = self.vertices
+        return self._connectivity.get("reference", lambda: v)
+
+    def reference_entry(self, key: str, build):
+        """build(reference vertices), kept once in the connectivity cache."""
+        ref = self._reference()  # looked up first: a build never asks its own cache
+        return self._connectivity.get(key, lambda: build(ref))
+
+    def moved_rows(self) -> np.ndarray | None:
+        """(V,) mask of the vertex rows that differ bitwise from the reference's,
+        kept in the memo; None when the reference has another vertex count.
+
+        Rows are compared bitwise, since 0.0 == -0.0 but the two print
+        differently.
+        """
+        v, ref = self.vertices, self._reference()
+
+        def build():
+            if len(ref) != len(v):
+                return None
+            a, b = v.view(np.int64), ref.view(np.int64)
+            return (a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1]) | (a[:, 2] != b[:, 2])
+        return self._memo.get("moved_rows", build)
 
     def with_scalar_field(self, name: str, values) -> "TriMesh":
         fields = dict(self.scalar_fields)
@@ -362,24 +398,21 @@ def _obj_rows(template: str, rows: np.ndarray) -> str:
 
 
 def _obj_vertex_lines(mesh: TriMesh) -> list:
-    """The `v` lines of mesh, formatting only rows that differ from the reference.
+    """The `v` lines of mesh, formatting only rows that moved from the reference.
 
-    The reference is the first vertex array written with this connectivity,
-    paired with its lines.  Rows are compared bitwise,
-    since 0.0 == -0.0 but the two print differently.  The stored list is
-    never mutated, so concurrent writers share it.
+    The reference's lines are built once per connectivity and never
+    mutated, so concurrent writers share them.
     """
-    v = mesh.vertices
-    ref_v, ref_lines = mesh.connectivity_entry(
-        "obj_vertex_lines", lambda: (v, _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)))
-    if ref_v is v:
-        return ref_lines
-    if len(ref_v) != len(v):
+    v, moved = mesh.vertices, mesh.moved_rows()
+    if moved is None:
         return _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)
-    moved = np.flatnonzero((v.view(np.int64) != ref_v.view(np.int64)).any(axis=1))
+    ref_lines = mesh.reference_entry(
+        "obj_vertex_lines", lambda ref: _obj_rows(_OBJ_VERTEX, ref).splitlines(keepends=True))
+    rows = np.flatnonzero(moved)
+    if not len(rows):
+        return ref_lines
     lines = list(ref_lines)
-    for i, line in zip(moved.tolist(),
-                       _obj_rows(_OBJ_VERTEX, v[moved]).splitlines(keepends=True)):
+    for i, line in zip(rows.tolist(), _obj_rows(_OBJ_VERTEX, v[rows]).splitlines(keepends=True)):
         lines[i] = line
     return lines
 

@@ -15,6 +15,7 @@ from morphreduce.campaign import (AnalysisSettings, CampaignConfig, DMDSettings,
 from morphreduce.dmd import SnapshotSet, fit, reconstruct_series
 from morphreduce.errors import ConfigError, DomainError, MeshFormatError
 from morphreduce.ffd import BindingEntry, FFDLattice, ParameterBinding, save_ffd_json
+import morphreduce.geometry.integrals as integrals
 import morphreduce.geometry.mesh as mesh_module
 from morphreduce.geometry import demo_hull, icosphere, save_mesh
 from morphreduce.surrogate import ObjectiveSpec, TimeSeriesMode, TimeSeriesSpec, generate_timeseries
@@ -414,6 +415,28 @@ class TestRunCampaign:
         assert first == (mesh_module._OBJ_VERTEX, base.num_vertices)
         assert second[0] == mesh_module._OBJ_VERTEX
         assert 0 < second[1] < base.num_vertices / 2
+
+    def test_later_samples_integrate_only_moved_triangles(self, tmp_path, monkeypatch):
+        base = demo_hull()
+        save_mesh(base, tmp_path / "hull.obj")
+        passed = []
+        original = integrals._triangle_terms
+
+        def counting(a, b, c):
+            passed.append(len(a))
+            return original(a, b, c)
+
+        monkeypatch.setattr(integrals, "_triangle_terms", counting)
+        config = CampaignConfig(
+            ffd_path=str(files("morphreduce") / "data" / "demo_ffd.json"),
+            mesh_path=str(tmp_path / "hull.obj"), n_samples=2, seed=1,
+            objective=ObjectiveSpec("volume-drag-proxy"),
+            output_dir=str(tmp_path / "run"), time_resolved=False)
+        records = run_campaign(config, threads=1)
+        assert [r.status for r in records] == ["ok", "ok"]
+        first, second = passed
+        assert first == base.num_triangles
+        assert 0 < second < base.num_triangles / 2
 
     def test_resume_skips_completed(self, workspace, monkeypatch):
         config = self.config(workspace, n_samples=3)

@@ -695,6 +695,106 @@ class TestIntegralsBitwise:
                 volume_centroid(sheet)
 
 
+def assert_integrals_match_np_cross(mesh):
+    area, volume, centroid = np_cross_integrals(mesh)
+    for _ in range(2):  # computed, then memoized
+        assert np.array_equal(np.float64(surface_area(mesh)).view(np.int64),
+                              np.float64(area).view(np.int64))
+        assert np.array_equal(np.float64(enclosed_volume(mesh)).view(np.int64),
+                              np.float64(volume).view(np.int64))
+        assert np.array_equal(volume_centroid(mesh).view(np.int64), centroid.view(np.int64))
+
+
+class TestIntegralsReuse:
+    """Meshes of one connectivity recompute only the triangles whose corners
+    moved from the reference, and still equal the np.cross formulas bit for bit."""
+
+    def test_derived_meshes_match_np_cross(self, tmp_path):
+        rng = np.random.default_rng(80)
+        hull = deformed_demo_hulls()[0]
+        base_v = np.array(hull.vertices)
+        base_v[10, 1] = 0.0
+        first = base_v.copy()
+        first[0:5] += 1e-3 * rng.standard_normal((5, 3))
+        second = base_v.copy()
+        second[3:40] += 1e-3 * rng.standard_normal((37, 3))
+        second[10, 1] = -0.0  # equal to base_v under ==, bitwise another row
+        third = first.copy()
+        third[200] *= 1.01
+        everywhere = 1.25 * base_v
+        grown = np.vstack([second, rng.standard_normal((4, 3))])
+        base = TriMesh(base_v, hull.triangles)
+        path = tmp_path / "m.obj"
+        # the base itself comes last, after every derived mesh
+        sequence = [base.with_vertices(v)
+                    for v in (first, second, first, third, everywhere, grown, second)]
+        for k, mesh in enumerate(sequence + [base]):
+            if k % 2:  # integrals after the mesh was written, else before
+                save_mesh(mesh, path)
+            assert_integrals_match_np_cross(mesh)
+            if not k % 2:
+                save_mesh(mesh, path)
+            assert path.read_bytes() == per_vertex_obj_text(mesh).encode()
+            moved = mesh.moved_rows()
+            if len(mesh.vertices) == len(first):  # first is the reference
+                expected = (mesh.vertices.view(np.int64) != first.view(np.int64)).any(axis=1)
+                assert np.array_equal(moved, expected)
+            else:
+                assert moved is None
+        assert sequence[1].moved_rows()[10] and not sequence[0].moved_rows()[10]
+
+    def test_concurrent_integrals_match_np_cross(self, tmp_path):
+        base = icosphere(2)
+        rng = np.random.default_rng(81)
+        meshes = []
+        for k in range(16):
+            v = np.array(base.vertices)
+            rows = rng.choice(len(v), 20, replace=False)
+            v[rows] += rng.standard_normal((20, 3)) * 10.0 ** -k
+            meshes.append(base.with_vertices(v))
+        expected = [np_cross_integrals(mesh) for mesh in meshes]
+        errors = []
+
+        def worker(w):
+            for j in range(len(meshes)):
+                k = (j + 2 * w) % len(meshes)
+                mesh, (area, volume, centroid) = meshes[k], expected[k]
+                if (j + w) % 2:
+                    save_mesh(mesh, tmp_path / f"{w}.obj")
+                got = (volume_centroid(mesh), enclosed_volume(mesh), surface_area(mesh))
+                if not (np.array_equal(got[0].view(np.int64), centroid.view(np.int64))
+                        and (got[1], got[2]) == (volume, area)):
+                    errors.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_open_mesh_has_an_area_and_no_volume(self):
+        base = deformed_demo_hulls()[0]
+        open_mesh = TriMesh(base.vertices, base.triangles[:-1])
+        v = np.array(open_mesh.vertices)
+        v[:50] += 0.01
+        for mesh in (open_mesh, open_mesh.with_vertices(v)):
+            for area_first in (False, True):
+                if area_first:
+                    assert surface_area(mesh) == np_cross_integrals(mesh)[0]
+                for integral in (enclosed_volume, volume_centroid):
+                    with pytest.raises(MeshTopologyError, match="3 boundary"):
+                        integral(mesh)
+                if not area_first:
+                    assert mesh._memo._entries == {}
+
+
 class TestVolumeCentroid:
     @pytest.mark.parametrize("mesh", [unit_cube(),
                                       icosphere(2, radius=0.8, center=(0.3, -0.2, 0.9))])
