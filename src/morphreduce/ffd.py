@@ -125,7 +125,7 @@ class ParameterBinding:
         if (self.bounds[:, 1] < self.bounds[:, 0]).any():
             raise ConfigError("parameter bounds must satisfy lo <= hi")
         for e in self.entries:
-            e.index = tuple(int(i) for i in e.index)
+            e.index = tuple(e.index)
             _require_int("binding parameter", e.parameter, 0)
             _require_int("binding axis", e.axis, 0, 2)
             if not (_is_real(e.weight) and np.isfinite(e.weight)):
@@ -150,10 +150,18 @@ def to_reference(lattice: FFDLattice, points) -> np.ndarray:
     return stu[0] if single else stu
 
 
+def _check_lattice_index(what: str, index, counts: tuple) -> None:
+    """Refuse an index of a control point that is not three ints in [0, counts)."""
+    if not (isinstance(index, (list, tuple)) and len(index) == 3
+            and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < c
+                    for i, c in zip(index, counts))):
+        raise ConfigError(f"{what} index {index} outside lattice counts {counts}: "
+                          "a control point index is three ints i with 0 <= i < count")
+
+
 def _check_binding_indices(counts: tuple, binding: ParameterBinding) -> None:
-    for e in binding.entries:
-        if any(i >= c or i < 0 for i, c in zip(e.index, counts)):
-            raise ConfigError(f"binding entry index {e.index} outside lattice counts {counts}")
+    for k, e in enumerate(binding.entries):
+        _check_lattice_index(f"binding entry {k}", e.index, counts)
 
 
 def apply_parameters(lattice: FFDLattice, binding: ParameterBinding,
@@ -298,11 +306,12 @@ def save_ffd_json(path, lattice: FFDLattice, binding: ParameterBinding | None = 
         ],
     }
     if binding is not None:
+        _check_binding_indices(lattice.counts, binding)
         doc["binding"] = {
             "bounds": binding.bounds.tolist(),
             "entries": [
-                {"parameter": e.parameter, "index": list(e.index),
-                 "axis": e.axis, "weight": e.weight}
+                {"parameter": int(e.parameter), "index": [int(i) for i in e.index],
+                 "axis": int(e.axis), "weight": e.weight}
                 for e in binding.entries
             ],
         }
@@ -314,7 +323,8 @@ def load_ffd_json(path):
     with read_json(path) as doc:
         counts = tuple(doc["counts"])
         disp = np.zeros(counts + (3,))
-        for entry in doc.get("displacements", []):
+        for k, entry in enumerate(doc.get("displacements", [])):
+            _check_lattice_index(f"displacement {k}", entry["index"], counts)
             disp[tuple(entry["index"])] = entry["value"]
         lattice = FFDLattice(doc["origin"], doc["axes"], counts, disp)
         binding = None

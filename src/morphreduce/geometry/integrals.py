@@ -7,16 +7,16 @@ triangle.
 Surface area, enclosed volume and its first moment come from one
 per-triangle pass (_triangle_terms): area, det(v0, v1, v2) and
 det·(v0 + v1 + v2)/4, each elementwise in its triangle's corners.  Their
-sums are kept in the mesh's own memo, the closedness count once per
-connectivity.  A mesh with as many vertices as its connectivity's
-reference (see mesh.py) recomputes the terms only of the triangles with a
-corner that differs bitwise from the reference's, and writes them into
-copies of the reference's terms, built once per connectivity.  A mesh with
-another vertex count, or with every triangle moved, takes the full pass.
-Each term is the same IEEE operations on the same corners either way, and
-the sums reduce whole (T,) and (T, 3) arrays with the same numpy calls, so
-every result is bitwise the full pass's and run-to-run identical for a
-given mesh.
+sums are kept in the mesh's own memo, the closedness count and the root's
+terms in its root's memo (see mesh.py).  A mesh with as many vertices as
+its root recomputes the terms only of the triangles with a corner that
+differs bitwise from the root's, and writes them into copies of the root's
+terms; the root itself moved no corner and reads its terms as they are.  A
+mesh with another vertex count, or with every triangle moved, takes the
+full pass.  Each term is the same IEEE operations on the same corners
+either way, and the sums reduce whole (T,) and (T, 3) arrays with the same
+numpy calls, so every result is bitwise the full pass's and run-to-run
+identical for a given mesh.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ForceResult:
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
-    return np.array(_mesh_terms(mesh, mesh.moved_rows())[0])
+    return np.array(_mesh_terms(mesh)[0])
 
 
 def surface_area(mesh: TriMesh) -> float:
@@ -84,7 +84,7 @@ def integrate_pressure_force(mesh: TriMesh, pressure_field: str,
 
 def _require_closed(mesh: TriMesh) -> None:
     # boundary_edge_count is looked up when built, so a wrapper around it sees the call
-    n_boundary = mesh.connectivity_entry("boundary_edges", lambda: boundary_edge_count(mesh))
+    n_boundary = mesh.root.memo_entry("boundary_edges", lambda: boundary_edge_count(mesh))
     if mesh.num_triangles == 0 or n_boundary:
         raise MeshTopologyError(
             f"open surface or inconsistent winding: {n_boundary} boundary edge(s)"
@@ -102,19 +102,20 @@ def _triangle_terms(a, b, c):
     return area, det, det[:, None] * ((a + b + c) / 4.0)  # fourth vertex is the origin
 
 
-def _mesh_terms(mesh: TriMesh, moved):
+def _mesh_terms(mesh: TriMesh):
     """_triangle_terms of every triangle of mesh.
 
-    With moved, mesh.moved_rows(), only the triangles with a moved corner
-    are computed; the others keep the reference's terms.
+    With mesh.moved_rows(), only the triangles with a moved corner are
+    computed; the others keep the root's terms.
     """
-    index = mesh.corner_indices()
+    index, moved = mesh.corner_indices(), mesh.moved_rows()
     if moved is not None:
         touched = np.take(moved, index[0]) | np.take(moved, index[1]) | np.take(moved, index[2])
         rows = np.flatnonzero(touched)
         if len(rows) < len(touched):
-            ref_terms = mesh.reference_entry(
-                "triangle_terms", lambda ref: _triangle_terms(*np.take(ref, index, axis=0)))
+            root = mesh.root
+            ref_terms = root.memo_entry(
+                "triangle_terms", lambda: _triangle_terms(*np.take(root.vertices, index, axis=0)))
             if not len(rows):
                 return ref_terms
             terms = tuple(np.array(term) for term in ref_terms)
@@ -127,10 +128,8 @@ def _mesh_terms(mesh: TriMesh, moved):
 
 def _integrals(mesh: TriMesh):
     """(area, volume, first moment), summed from _mesh_terms and kept in the memo."""
-    moved = mesh.moved_rows()  # looked up first: a build never asks its own cache
-
     def build():
-        area, det, moment = _mesh_terms(mesh, moved)
+        area, det, moment = _mesh_terms(mesh)
         return float(area.sum()), float(det.sum() / 6.0), moment.sum(axis=0) / 6.0
     return mesh.memo_entry("integrals", build)
 

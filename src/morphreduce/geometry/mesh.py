@@ -8,20 +8,19 @@ with_vertices or with_scalar_field shares its base's locked triangles, which
 the base has already checked.  A vertex with a NaN or infinite
 coordinate is refused when the mesh is built.
 
-A mesh keeps derived facts in two caches of one kind (_Cache).  The
-connectivity cache, shared by every mesh derived with with_vertices or
-with_scalar_field, holds what depends on the triangles alone (closedness,
-the OBJ face block, the corner indices as three contiguous rows) and one
-reference: the locked vertex array of the first mesh of the connectivity
-that asked for its moved rows, with what is built from it on demand (its
-OBJ vertex lines and its per-triangle integral terms).  The memo, each
-mesh's own, holds what depends on its vertices too: the mask of its rows
-that differ bitwise from the reference, its surface integrals and the FFD
-reference basis of its vertices.  Writing or integrating a deformed copy
-then formats only the vertices that moved and recomputes only the
-triangles with a moved corner.  One rule serves both caches: the first
-caller that asks for an entry builds it, racing callers wait for that
-build, and an entry asked for under another tag is rebuilt.
+A mesh keeps derived facts in one memo (_Cache).  A mesh built by
+TriMesh(...) is a root; a mesh derived with with_vertices or
+with_scalar_field keeps its parent's root (TriMesh.root).  The root's memo
+holds what every mesh derived from it shares: what depends on the
+triangles alone (closedness, the OBJ face block, the corner indices as
+three contiguous rows) and what is built from the root's vertices (its OBJ
+vertex lines and its per-triangle integral terms).  Each mesh's own memo
+holds what depends on its vertices too: the mask of its rows that differ
+bitwise from the root's, its surface integrals and the FFD reference basis
+of its vertices.  Writing or integrating a deformed copy then formats only
+the vertices that moved and recomputes only the triangles with a moved
+corner.  The first caller that asks for an entry builds it, racing callers
+wait for that build, and an entry asked for under another tag is rebuilt.
 
 OBJ files that hold only `v x y z` lines followed by only `f i j k` lines
 of plain decimal indices, as save_mesh writes them, with LF or CRLF line
@@ -69,13 +68,13 @@ class _Cache:
     """Entries built once: the first caller that asks builds, racing callers wait.
 
     An entry asked for under another tag than it was built with is built
-    again and replaces it.  Each cache has its own lock, which is not
-    reentrant: a build must never ask its own cache.
+    again and replaces it.  The lock is reentrant, so a build may ask the
+    same cache for another entry.
     """
 
     def __init__(self):
         self._entries = {}  # key -> (tag, value), each pair set in one assignment
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def get(self, key, build, tag=None):
         entry = self._entries.get(key)
@@ -97,12 +96,10 @@ class TriMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     scalar_fields: dict = field(default_factory=dict)
-    # shared with derived meshes: facts of `triangles` and of the reference
-    # vertices (see moved_rows)
-    _connectivity: _Cache = field(default_factory=_Cache, init=False, repr=False,
-                                  compare=False)
-    # never shared: facts of these vertices and triangles
+    # facts of these vertices and triangles; a root's also serve its derived meshes
     _memo: _Cache = field(default_factory=_Cache, init=False, repr=False, compare=False)
+    # None on a root, which so holds no reference to itself and is freed by refcount
+    _root: "TriMesh | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.triangles = _as_locked(self.triangles, np.int64, (-1, 3))
@@ -136,9 +133,10 @@ class TriMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def connectivity_entry(self, key: str, build):
-        """build(), kept once in the connectivity cache derived meshes share."""
-        return self._connectivity.get(key, build)
+    @property
+    def root(self) -> "TriMesh":
+        """The mesh built by TriMesh(...) that this one was derived from, or itself."""
+        return self if self._root is None else self._root
 
     def memo_entry(self, key: str, build, tag=None):
         """build(), kept once under tag in this mesh's own memo."""
@@ -147,30 +145,21 @@ class TriMesh:
     def corner_indices(self) -> np.ndarray:
         """The triangles' vertex indices as a locked (3, T) array, one corner per row."""
         t = self.triangles
-        return self._connectivity.get("corner_indices", lambda: _as_locked(t.T, np.int64, (3, -1)))
+        return self.root.memo_entry("corner_indices",
+                                    lambda: _as_locked(t.T, np.int64, (3, -1)))
 
     def corner_coordinates(self):
         """Vertex coordinates of every triangle, as three (T, 3) arrays."""
         return tuple(np.take(self.vertices, self.corner_indices(), axis=0))
 
-    def _reference(self) -> np.ndarray:
-        """The locked vertex array of the first mesh of this connectivity to ask."""
-        v = self.vertices
-        return self._connectivity.get("reference", lambda: v)
-
-    def reference_entry(self, key: str, build):
-        """build(reference vertices), kept once in the connectivity cache."""
-        ref = self._reference()  # looked up first: a build never asks its own cache
-        return self._connectivity.get(key, lambda: build(ref))
-
     def moved_rows(self) -> np.ndarray | None:
-        """(V,) mask of the vertex rows that differ bitwise from the reference's,
-        kept in the memo; None when the reference has another vertex count.
+        """(V,) mask of the vertex rows that differ bitwise from the root's,
+        kept in the memo; None when the root has another vertex count.
 
         Rows are compared bitwise, since 0.0 == -0.0 but the two print
         differently.
         """
-        v, ref = self.vertices, self._reference()
+        v, ref = self.vertices, self.root.vertices
 
         def build():
             if len(ref) != len(v):
@@ -189,7 +178,7 @@ class TriMesh:
         return self._same_connectivity(vertices, dict(self.scalar_fields))
 
     def _same_connectivity(self, vertices, scalar_fields) -> "TriMesh":
-        """A mesh sharing this one's locked triangles and connectivity cache.
+        """A mesh sharing this one's locked triangles and root.
 
         The triangles are neither copied nor checked again: their indices
         lie below this mesh's vertex count, so only fewer vertices need the
@@ -197,7 +186,7 @@ class TriMesh:
         """
         mesh = object.__new__(TriMesh)
         mesh.vertices, mesh.triangles, mesh.scalar_fields = vertices, self.triangles, scalar_fields
-        mesh._connectivity, mesh._memo = self._connectivity, _Cache()
+        mesh._memo, mesh._root = _Cache(), self.root
         mesh._lock_vertices_and_fields(len(self.vertices))
         return mesh
 
@@ -398,16 +387,16 @@ def _obj_rows(template: str, rows: np.ndarray) -> str:
 
 
 def _obj_vertex_lines(mesh: TriMesh) -> list:
-    """The `v` lines of mesh, formatting only rows that moved from the reference.
+    """The `v` lines of mesh, formatting only rows that moved from the root's.
 
-    The reference's lines are built once per connectivity and never
-    mutated, so concurrent writers share them.
+    The root's lines are built once and never mutated, so concurrent
+    writers share them.
     """
-    v, moved = mesh.vertices, mesh.moved_rows()
+    v, moved, root = mesh.vertices, mesh.moved_rows(), mesh.root
     if moved is None:
         return _obj_rows(_OBJ_VERTEX, v).splitlines(keepends=True)
-    ref_lines = mesh.reference_entry(
-        "obj_vertex_lines", lambda ref: _obj_rows(_OBJ_VERTEX, ref).splitlines(keepends=True))
+    ref_lines = root.memo_entry(
+        "obj_vertex_lines", lambda: _obj_rows(_OBJ_VERTEX, root.vertices).splitlines(keepends=True))
     rows = np.flatnonzero(moved)
     if not len(rows):
         return ref_lines
@@ -418,8 +407,7 @@ def _obj_vertex_lines(mesh: TriMesh) -> list:
 
 
 def _write_obj(mesh: TriMesh, path) -> None:
-    faces = mesh.connectivity_entry("obj_faces",
-                                    lambda: _obj_rows(_OBJ_FACE, mesh.triangles + 1))
+    faces = mesh.root.memo_entry("obj_faces", lambda: _obj_rows(_OBJ_FACE, mesh.triangles + 1))
     write_text(path, ("".join(_obj_vertex_lines(mesh)), faces))
 
 

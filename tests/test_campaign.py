@@ -392,7 +392,17 @@ class TestRunCampaign:
             assert mesh_a.read_bytes() == \
                 (tmp_path / "b" / "samples" / f"{i:03d}" / "mesh.obj").read_bytes()
 
+    def run_two_samples(self, tmp_path, threads):
+        config = CampaignConfig(
+            ffd_path=str(files("morphreduce") / "data" / "demo_ffd.json"),
+            mesh_path=str(tmp_path / "hull.obj"), n_samples=2, seed=1,
+            objective=ObjectiveSpec("volume-drag-proxy"),
+            output_dir=str(tmp_path / f"run{threads}"), time_resolved=False)
+        records = run_campaign(config, threads=threads)
+        assert [r.status for r in records] == ["ok", "ok"]
+
     def test_later_samples_format_only_moved_vertex_rows(self, tmp_path, monkeypatch):
+        """The root's lines are formatted once, then each sample its moved rows."""
         base = demo_hull()
         save_mesh(base, tmp_path / "hull.obj")
         formatted = []
@@ -403,20 +413,22 @@ class TestRunCampaign:
             return original(template, rows)
 
         monkeypatch.setattr(mesh_module, "_obj_rows", counting)
-        config = CampaignConfig(
-            ffd_path=str(files("morphreduce") / "data" / "demo_ffd.json"),
-            mesh_path=str(tmp_path / "hull.obj"), n_samples=2, seed=1,
-            objective=ObjectiveSpec("volume-drag-proxy"),
-            output_dir=str(tmp_path / "run"), time_resolved=False)
-        records = run_campaign(config, threads=1)
-        assert [r.status for r in records] == ["ok", "ok"]
-        faces, first, second = formatted
-        assert faces == (mesh_module._OBJ_FACE, base.num_triangles)
-        assert first == (mesh_module._OBJ_VERTEX, base.num_vertices)
-        assert second[0] == mesh_module._OBJ_VERTEX
-        assert 0 < second[1] < base.num_vertices / 2
+        counts = []
+        for threads in (1, 2):
+            formatted.clear()
+            self.run_two_samples(tmp_path, threads)
+            faces, root, *samples = formatted
+            assert faces == (mesh_module._OBJ_FACE, base.num_triangles)
+            assert root == (mesh_module._OBJ_VERTEX, base.num_vertices)
+            assert len(samples) == 2
+            for template, n in samples:
+                assert template == mesh_module._OBJ_VERTEX
+                assert 0 < n < base.num_vertices / 2
+            counts.append(sorted(formatted))
+        assert counts[0] == counts[1]
 
     def test_later_samples_integrate_only_moved_triangles(self, tmp_path, monkeypatch):
+        """The root's terms are computed once, then each sample's moved triangles."""
         base = demo_hull()
         save_mesh(base, tmp_path / "hull.obj")
         passed = []
@@ -427,16 +439,16 @@ class TestRunCampaign:
             return original(a, b, c)
 
         monkeypatch.setattr(integrals, "_triangle_terms", counting)
-        config = CampaignConfig(
-            ffd_path=str(files("morphreduce") / "data" / "demo_ffd.json"),
-            mesh_path=str(tmp_path / "hull.obj"), n_samples=2, seed=1,
-            objective=ObjectiveSpec("volume-drag-proxy"),
-            output_dir=str(tmp_path / "run"), time_resolved=False)
-        records = run_campaign(config, threads=1)
-        assert [r.status for r in records] == ["ok", "ok"]
-        first, second = passed
-        assert first == base.num_triangles
-        assert 0 < second < base.num_triangles / 2
+        counts = []
+        for threads in (1, 2):
+            passed.clear()
+            self.run_two_samples(tmp_path, threads)
+            root, *samples = passed
+            assert root == base.num_triangles
+            assert len(samples) == 2
+            assert all(0 < n < base.num_triangles / 2 for n in samples)
+            counts.append(sorted(passed))
+        assert counts[0] == counts[1]
 
     def test_resume_skips_completed(self, workspace, monkeypatch):
         config = self.config(workspace, n_samples=3)

@@ -1,3 +1,5 @@
+import json
+import re
 import sys
 import threading
 import time
@@ -367,6 +369,49 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_ffd_json(path)
+
+    @pytest.mark.parametrize("section, index, name", [
+        ("displacements", [-1, 0, 0], "displacement 0"),  # would wrap to the last point
+        ("displacements", [1, 1], "displacement 0"),  # would broadcast over a row
+        ("entries", [1, 1], "binding entry 1"),  # would move all three components
+        ("entries", [1.5, 1, 1], "binding entry 1"),  # would truncate to 1
+        ("entries", [1, 1, 1, 0], "binding entry 1"),  # would fail as an IndexError
+        ("entries", [True, 1, 1], "binding entry 1")])
+    def test_bad_control_point_index_rejected(self, tmp_path, section, index, name):
+        disp = np.zeros((3, 3, 3, 3))
+        disp[2, 0, 1] = [0.0, -0.05, 0.0]
+        binding = ParameterBinding(
+            [BindingEntry(0, (1, 1, 1), 0, 1.0), BindingEntry(1, (1, 1, 1), 2, -2.0)],
+            bounds=[[-0.3, 0.3], [-0.1, 0.1]])
+        path = tmp_path / "ffd.json"
+        save_ffd_json(path, FFDLattice([0, 0, 0], np.eye(3), (3, 3, 3), disp), binding)
+        doc = json.loads(path.read_text())
+        entries = doc["displacements"] if section == "displacements" else doc["binding"]["entries"]
+        entries[-1]["index"] = index
+        path.write_text(json.dumps(doc))
+        shown = index if section == "displacements" else tuple(index)  # a binding keeps tuples
+        message = (f"^{re.escape(str(path))}: {name} index {re.escape(str(shown))} "
+                   r"outside lattice counts \(3, 3, 3\)")
+        with pytest.raises(ConfigError, match=message):
+            load_ffd_json(path)
+
+    def test_bad_binding_index_rejected_when_applied_and_saved(self, tmp_path):
+        lattice = unit_lattice()
+        binding = ParameterBinding([BindingEntry(0, (1.5, 1, 1), 0, 1.0)], bounds=[[-1, 1]])
+        for call in (lambda: apply_parameters(lattice, binding, [0.5]),
+                     lambda: save_ffd_json(tmp_path / "ffd.json", lattice, binding)):
+            with pytest.raises(ConfigError, match=r"^binding entry 0 index \(1\.5, 1, 1\)"):
+                call()
+        assert not (tmp_path / "ffd.json").exists()
+
+    def test_numpy_integer_binding_round_trips(self, tmp_path):
+        binding = ParameterBinding(
+            [BindingEntry(np.int64(0), np.array([1, 0, 1]), np.int32(2), 0.5)],
+            bounds=[[-1, 1]])
+        save_ffd_json(tmp_path / "ffd.json", unit_lattice(), binding)
+        _, loaded = load_ffd_json(tmp_path / "ffd.json")
+        assert (loaded.entries[0].parameter, loaded.entries[0].index,
+                loaded.entries[0].axis) == (0, (1, 0, 1), 2)
 
 
 class TestSparseBlockedDeform:

@@ -1,7 +1,9 @@
+import gc
 import re
 import sys
 import threading
 import time
+import weakref
 from importlib.resources import files
 
 import numpy as np
@@ -706,8 +708,8 @@ def assert_integrals_match_np_cross(mesh):
 
 
 class TestIntegralsReuse:
-    """Meshes of one connectivity recompute only the triangles whose corners
-    moved from the reference, and still equal the np.cross formulas bit for bit."""
+    """Meshes derived from one root recompute only the triangles whose corners
+    moved from the root's, and still equal the np.cross formulas bit for bit."""
 
     def test_derived_meshes_match_np_cross(self, tmp_path):
         rng = np.random.default_rng(80)
@@ -736,12 +738,13 @@ class TestIntegralsReuse:
                 save_mesh(mesh, path)
             assert path.read_bytes() == per_vertex_obj_text(mesh).encode()
             moved = mesh.moved_rows()
-            if len(mesh.vertices) == len(first):  # first is the reference
-                expected = (mesh.vertices.view(np.int64) != first.view(np.int64)).any(axis=1)
+            if len(mesh.vertices) == len(base_v):  # the base is the root
+                expected = (mesh.vertices.view(np.int64) != base_v.view(np.int64)).any(axis=1)
                 assert np.array_equal(moved, expected)
             else:
                 assert moved is None
         assert sequence[1].moved_rows()[10] and not sequence[0].moved_rows()[10]
+        assert not base.moved_rows().any()
 
     def test_concurrent_integrals_match_np_cross(self, tmp_path):
         base = icosphere(2)
@@ -752,6 +755,8 @@ class TestIntegralsReuse:
             rows = rng.choice(len(v), 20, replace=False)
             v[rows] += rng.standard_normal((20, 3)) * 10.0 ** -k
             meshes.append(base.with_vertices(v))
+        # the fresh base's first volume_centroid builds its terms inside its integrals
+        meshes.append(base)
         expected = [np_cross_integrals(mesh) for mesh in meshes]
         errors = []
 
@@ -791,8 +796,26 @@ class TestIntegralsReuse:
                 for integral in (enclosed_volume, volume_centroid):
                     with pytest.raises(MeshTopologyError, match="3 boundary"):
                         integral(mesh)
-                if not area_first:
-                    assert mesh._memo._entries == {}
+                if not area_first:  # the root's memo keeps its closedness count
+                    assert "integrals" not in mesh._memo._entries
+
+    def test_root_with_a_filled_memo_is_freed_by_refcount(self, tmp_path):
+        root = icosphere(2)
+        child = root.with_vertices(root.vertices * 1.5)
+        for mesh in (root, child):
+            save_mesh(mesh, tmp_path / "m.obj")
+            volume_centroid(mesh)
+        assert child.root is root and root.root is root
+        assert {"integrals", "obj_vertex_lines", "triangle_terms"} <= set(root._memo._entries)
+        ref = weakref.ref(root)
+        gc.disable()
+        try:
+            del root, mesh
+            assert ref() is not None  # the child still holds its root
+            del child
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestVolumeCentroid:
