@@ -2,7 +2,8 @@
 """Record a benchmark trajectory point: perfbench once per workload and seed.
 
     python3 scripts/bench.py --tag 27 --seed 1 2 3 --seconds 30
-    python3 scripts/bench.py --root ../copy-of-parent --tag 26 --workload fine_hull
+    python3 scripts/bench.py --root ../copy-of-parent --commit "$(git rev-parse HEAD~1)" \
+        --tag 26 --workload fine_hull
 
 Each run is `perfbench/run.py --trace 0` of the checkout --root (default:
 the one holding this script) in its own child process, with
@@ -13,12 +14,14 @@ next seed.
 
 BENCH_<tag>.json, written to --out-dir, holds the commit of the checkout
 and whether it is a git work tree (perfbench numbers have differed
-between a work tree and a plain copy of the same files), the Python and
-numpy versions and the CPU count, and per run: the end-to-end metrics and
-summary line of run.py, the workload metrics, sizes and check summary of
-its record, its wall time, and its user CPU, system CPU and minor page
-faults from getrusage(RUSAGE_CHILDREN).  The last stdout line
-is the file's path.
+between a work tree and a plain copy of the same files).  A work tree
+reports its HEAD.  A plain copy, such as one made by `git archive`, names
+its commit with --commit; without it the script exits 2 before any run.
+The file also holds the Python and numpy versions and the CPU count, and
+per run: the end-to-end metrics and summary line of run.py, the workload
+metrics, sizes and check summary of its record, its wall time, and its
+user CPU, system CPU and minor page faults from getrusage(RUSAGE_CHILDREN).
+The last stdout line is the file's path.
 """
 
 from __future__ import annotations
@@ -49,7 +52,14 @@ def parse_args(argv):
     p.add_argument("--commit", default=None,
                    help="commit a plain copy was made from (a work tree reports its HEAD)")
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    args.root = args.root.resolve()
+    top = git(args.root, "rev-parse", "--show-toplevel")
+    args.work_tree = top is not None and Path(top).resolve() == args.root
+    if not args.work_tree and args.commit is None:
+        p.error(f"--root {args.root} is not a git work tree; name the commit it was "
+                "copied from with --commit")
+    return args
 
 
 def git(root: Path, *args):
@@ -91,8 +101,7 @@ def run_one(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    root = args.root.resolve()
-    work_tree = git(root, "rev-parse", "--is-inside-work-tree") == "true"
+    root, work_tree = args.root, args.work_tree
     try:
         numpy_version = version("numpy")
     except PackageNotFoundError:

@@ -7,7 +7,6 @@ from .integrals import (
     ittc57_drag,
     ittc57_friction_coefficient,
     surface_area,
-    triangle_areas,
     volume_centroid,
 )
 from .primitives import demo_hull, icosphere, unit_cube
@@ -16,7 +15,7 @@ __all__ = [
     "TriMesh", "ForceResult",
     "load_mesh", "save_mesh",
     "integrate_pressure_force", "enclosed_volume", "surface_area",
-    "triangle_areas", "volume_centroid", "boundary_edge_count",
+    "volume_centroid", "boundary_edge_count",
     "ittc57_drag", "ittc57_friction_coefficient",
     "unit_cube", "icosphere", "demo_hull",
 ]

@@ -8,15 +8,15 @@ Surface area, enclosed volume and its first moment come from one
 per-triangle pass (_triangle_terms): area, det(v0, v1, v2) and
 det·(v0 + v1 + v2)/4, each elementwise in its triangle's corners.  Their
 sums are kept in the mesh's own memo, the closedness count and the root's
-terms in its root's memo (see mesh.py).  A mesh with as many vertices as
-its root recomputes the terms only of the triangles with a corner that
-differs bitwise from the root's, and writes them into copies of the root's
-terms; the root itself moved no corner and reads its terms as they are.  A
-mesh with another vertex count, or with every triangle moved, takes the
-full pass.  Each term is the same IEEE operations on the same corners
-either way, and the sums reduce whole (T,) and (T, 3) arrays with the same
-numpy calls, so every result is bitwise the full pass's and run-to-run
-identical for a given mesh.
+terms in its root's memo (see mesh.py).  The root's terms take one full
+pass.  A derived mesh, which has its root's vertex count, recomputes the
+terms only of the triangles with a corner that differs bitwise from the
+root's and writes them into copies of the root's terms; a mesh that moved
+no corner, the root among them, reads the root's terms as they are.  Each
+term is the same IEEE operations on the same corners as in a full pass,
+and the sums reduce whole (T,) and (T, 3) arrays with the same numpy calls,
+so every result is bitwise the full pass's and run-to-run identical for a
+given mesh.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class ForceResult:
 
     force: np.ndarray
     resistance: float
-
-
-def triangle_areas(mesh: TriMesh) -> np.ndarray:
-    return np.array(_mesh_terms(mesh)[0])
 
 
 def surface_area(mesh: TriMesh) -> float:
@@ -103,27 +99,20 @@ def _triangle_terms(a, b, c):
 
 
 def _mesh_terms(mesh: TriMesh):
-    """_triangle_terms of every triangle of mesh.
-
-    With mesh.moved_rows(), only the triangles with a moved corner are
-    computed; the others keep the root's terms.
-    """
-    index, moved = mesh.corner_indices(), mesh.moved_rows()
-    if moved is not None:
-        touched = np.take(moved, index[0]) | np.take(moved, index[1]) | np.take(moved, index[2])
-        rows = np.flatnonzero(touched)
-        if len(rows) < len(touched):
-            root = mesh.root
-            ref_terms = root.memo_entry(
-                "triangle_terms", lambda: _triangle_terms(*np.take(root.vertices, index, axis=0)))
-            if not len(rows):
-                return ref_terms
-            terms = tuple(np.array(term) for term in ref_terms)
-            fresh = _triangle_terms(*np.take(mesh.vertices, index[:, rows], axis=0))
-            for term, part in zip(terms, fresh):
-                term[rows] = part
-            return terms
-    return _triangle_terms(*np.take(mesh.vertices, index, axis=0))
+    """_triangle_terms of every triangle of mesh: the root's, recomputed only
+    on the triangles with a corner in mesh.moved_rows()."""
+    index, moved, root = mesh.corner_indices(), mesh.moved_rows(), mesh.root
+    ref_terms = root.memo_entry(
+        "triangle_terms", lambda: _triangle_terms(*np.take(root.vertices, index, axis=0)))
+    rows = np.flatnonzero(np.take(moved, index[0]) | np.take(moved, index[1])
+                          | np.take(moved, index[2]))
+    if not len(rows):
+        return ref_terms
+    terms = tuple(np.array(term) for term in ref_terms)
+    fresh = _triangle_terms(*np.take(mesh.vertices, index[:, rows], axis=0))
+    for term, part in zip(terms, fresh):
+        term[rows] = part
+    return terms
 
 
 def _integrals(mesh: TriMesh):

@@ -90,11 +90,11 @@ class TestObjWriter:
         second[10] = [-0.0, 1.0, 0.0]  # equal to base_v under ==, printed differently
         third = first.copy()
         third[20] += 1.0
-        grown = np.vstack([second, extreme_values(rng, 15).reshape(-1, 3)])
+        everywhere = -base_v  # every row moves bitwise, its zeros too
         base = TriMesh(base_v, rng.integers(0, len(base_v), (60, 3)))
         path = tmp_path / "m.obj"
         # the base itself comes last, after every derived mesh
-        for v in (first, second, first, third, grown, second, base_v):
+        for v in (first, second, first, third, everywhere, second, base_v):
             mesh = base.with_vertices(v)
             save_mesh(mesh, path)
             assert path.read_bytes() == per_vertex_obj_text(mesh).encode()
@@ -445,12 +445,15 @@ class TestDerivedMeshTriangles:
         with pytest.raises(MeshFormatError, match=r"indices must lie in \[0, 7\)"):
             TriMesh(base.vertices[:7], base.triangles)
 
-    def test_fewer_vertices_still_range_checked(self):
+    def test_another_vertex_count_is_refused(self):
         base = unit_cube()
-        with pytest.raises(MeshFormatError, match=r"indices must lie in \[0, 7\)"):
-            base.with_vertices(base.vertices[:7])
-        grown = base.with_vertices(np.vstack([base.vertices, [[2.0, 2.0, 2.0]]]))
-        assert grown.triangles is base.triangles
+        fielded = base.with_scalar_field("p", np.ones(8))
+        fewer, more = base.vertices[:7], np.vstack([base.vertices, [[2.0, 2.0, 2.0]]])
+        for mesh in (base, fielded, fielded.with_vertices(base.vertices * 2.0)):
+            for v, n in ((fewer, 7), (more, 9)):
+                # the count is refused before the field's length is compared with it
+                with pytest.raises(MeshFormatError, match=f"root's 8 vertices, got {n}$"):
+                    mesh.with_vertices(v)
 
 
 class TestScalarFields:
@@ -724,12 +727,11 @@ class TestIntegralsReuse:
         third = first.copy()
         third[200] *= 1.01
         everywhere = 1.25 * base_v
-        grown = np.vstack([second, rng.standard_normal((4, 3))])
         base = TriMesh(base_v, hull.triangles)
         path = tmp_path / "m.obj"
         # the base itself comes last, after every derived mesh
         sequence = [base.with_vertices(v)
-                    for v in (first, second, first, third, everywhere, grown, second)]
+                    for v in (first, second, first, third, everywhere, second)]
         for k, mesh in enumerate(sequence + [base]):
             if k % 2:  # integrals after the mesh was written, else before
                 save_mesh(mesh, path)
@@ -737,12 +739,9 @@ class TestIntegralsReuse:
             if not k % 2:
                 save_mesh(mesh, path)
             assert path.read_bytes() == per_vertex_obj_text(mesh).encode()
-            moved = mesh.moved_rows()
-            if len(mesh.vertices) == len(base_v):  # the base is the root
-                expected = (mesh.vertices.view(np.int64) != base_v.view(np.int64)).any(axis=1)
-                assert np.array_equal(moved, expected)
-            else:
-                assert moved is None
+            expected = (mesh.vertices.view(np.int64) != base_v.view(np.int64)).any(axis=1)
+            assert np.array_equal(mesh.moved_rows(), expected)
+        assert sequence[4].moved_rows().all()
         assert sequence[1].moved_rows()[10] and not sequence[0].moved_rows()[10]
         assert not base.moved_rows().any()
 
